@@ -37,7 +37,7 @@ class Node:
     role: NodeRole = NodeRole.COMPUTE
     state: NodeState = NodeState.IDLE
     #: Intervals [start, end) in study-hours during which the node is
-    #: administratively powered off (sorted, non-overlapping).
+    #: administratively powered off (sorted; they may overlap).
     off_intervals: list[tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -50,37 +50,3 @@ class Node:
             raise ValueError("off interval must have positive length")
         self.off_intervals.append((float(start), float(end)))
         self.off_intervals.sort()
-
-    def is_off(self, t_hours: float) -> bool:
-        """Whether the node is powered off at time ``t_hours``."""
-        for start, end in self.off_intervals:
-            if start <= t_hours < end:
-                return True
-            if start > t_hours:
-                break
-        return False
-
-    def on_windows(self, start: float, end: float) -> list[tuple[float, float]]:
-        """Sub-intervals of ``[start, end)`` during which the node is on."""
-        if not self.scannable:
-            return []
-        windows: list[tuple[float, float]] = []
-        cursor = float(start)
-        for off_start, off_end in self.off_intervals:
-            if off_end <= cursor:
-                continue
-            if off_start >= end:
-                break
-            if off_start > cursor:
-                windows.append((cursor, min(off_start, end)))
-            cursor = max(cursor, off_end)
-            if cursor >= end:
-                break
-        if cursor < end:
-            windows.append((cursor, float(end)))
-        return windows
-
-    def off_hours(self, start: float, end: float) -> float:
-        """Total powered-off hours within ``[start, end)``."""
-        on = sum(e - s for s, e in self.on_windows(start, end))
-        return (end - start) - on if self.scannable else (end - start)

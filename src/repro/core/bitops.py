@@ -33,8 +33,20 @@ def _as_u32(words: np.ndarray | int) -> np.ndarray:
     return arr
 
 
+def _scalar_word(x) -> int | None:
+    """``x`` masked to 32 bits if it is an integer scalar, else None."""
+    if isinstance(x, (int, np.integer)) or (
+        isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind in "biu"
+    ):
+        return int(x) & 0xFFFFFFFF
+    return None
+
+
 def popcount(words: np.ndarray | int) -> np.ndarray | int:
     """Number of set bits in each 32-bit word (vectorized)."""
+    scalar = _scalar_word(words)
+    if scalar is not None:
+        return scalar.bit_count()
     w = _as_u32(words)
     b = w.view(np.uint8) if w.ndim else np.atleast_1d(w).view(np.uint8)
     counts = _POPCOUNT8[b].reshape(-1, 4).sum(axis=1, dtype=np.int64)
@@ -111,6 +123,10 @@ def flip_directions(expected, actual) -> tuple[np.ndarray | int, np.ndarray | in
     A bit flips 1->0 when it is set in ``expected`` and differs; this is
     the charge-loss direction the paper finds dominates (~90%).
     """
+    e_word, a_word = _scalar_word(expected), _scalar_word(actual)
+    if e_word is not None and a_word is not None:
+        xor_word = e_word ^ a_word
+        return (xor_word & e_word).bit_count(), (xor_word & a_word).bit_count()
     e = _as_u32(expected)
     a = _as_u32(actual)
     xor = np.bitwise_xor(e, a)

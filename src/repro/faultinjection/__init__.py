@@ -33,8 +33,6 @@ from .sessions import (
     PATTERN_COUNTING,
     SessionTrack,
     build_session_track,
-    merge_touching,
-    subtract_gaps,
 )
 
 __all__ = [
@@ -58,14 +56,12 @@ __all__ = [
     "beyond_double_faults",
     "build_session_track",
     "double_bit_faults",
-    "merge_touching",
     "nhpp_times",
     "paper_campaign_config",
     "piecewise_poisson_times",
     "poisson_times",
     "quick_campaign_config",
     "run_campaign",
-    "subtract_gaps",
     "total_multibit_faults",
     "undetectable_patterns",
 ]

@@ -58,7 +58,7 @@ from ..parallel import (
     supervised_map,
 )
 from ..scheduler.batch import BatchScheduler
-from ..scheduler.jobs import IdleWindow
+from ..scheduler.jobs import subtract_gaps
 from .config import CampaignConfig, paper_campaign_config
 from .models import (
     Observation,
@@ -74,7 +74,6 @@ from .sessions import (
     PATTERN_COUNTING,
     SessionTrack,
     build_session_track,
-    subtract_gaps,
 )
 
 #: Words in a full 3 GB scan buffer (address-map capacity).
@@ -317,15 +316,9 @@ class CampaignResult:
         )
 
 
-def _forced_windows(
-    plans, node: str
-) -> list[IdleWindow]:
-    """Pinned session intervals for a node, as idle windows."""
-    return [
-        IdleWindow(p.pinned[0], p.pinned[1])
-        for p in plans
-        if p.node == node and p.pinned is not None
-    ]
+def _forced_windows(plans, node: str) -> list[tuple[float, float]]:
+    """Pinned session intervals for a node, as ``(start, end)`` pairs."""
+    return [p.pinned for p in plans if p.node == node and p.pinned is not None]
 
 
 def _insert_pinned(
@@ -409,24 +402,33 @@ class _CampaignContext:
         return node_id
 
     def render(self, observations: list[Observation]) -> list[ErrorRecord]:
-        """Observations -> ERROR records (addresses + temperature)."""
-        records: list[ErrorRecord] = []
-        for obs in observations:
-            amap = self.address_map(obs.node)
-            temp = self.temperature.reading(self.node_id(obs.node), obs.time_hours)
-            records.append(
-                ErrorRecord(
-                    timestamp_hours=obs.time_hours,
-                    node=obs.node,
-                    virtual_address=int(amap.virtual_address(obs.word_index)),
-                    physical_page=int(amap.physical_page(obs.word_index)),
-                    expected=obs.expected,
-                    actual=obs.actual,
-                    temperature_c=temp,
-                    repeat_count=obs.repeat_count,
-                )
+        """Observations -> ERROR records (addresses + temperature).
+
+        Addresses are mapped with one array call per node.
+        """
+        rows_by_node: dict[str, list[int]] = {}
+        for i, obs in enumerate(observations):
+            rows_by_node.setdefault(obs.node, []).append(i)
+        words = np.array([obs.word_index for obs in observations], dtype=np.int64)
+        virtual = np.zeros(len(observations), dtype=np.int64)
+        page = np.zeros(len(observations), dtype=np.int64)
+        for name, rows in rows_by_node.items():
+            amap = self.address_map(name)
+            virtual[rows] = amap.virtual_address(words[rows])
+            page[rows] = amap.physical_page(words[rows])
+        return [
+            ErrorRecord(
+                timestamp_hours=obs.time_hours,
+                node=obs.node,
+                virtual_address=va,
+                physical_page=pp,
+                expected=obs.expected,
+                actual=obs.actual,
+                temperature_c=self.temperature.reading(self.node_id(obs.node), obs.time_hours),
+                repeat_count=obs.repeat_count,
             )
-        return records
+            for obs, va, pp in zip(observations, virtual.tolist(), page.tolist())
+        ]
 
 
 @dataclass
@@ -464,15 +466,13 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
     rngs = ctx.rngs.spawn()
 
     # -- session track ------------------------------------------------------
-    windows = ctx.scheduler.node_windows(node)
-    windows = subtract_gaps(windows, ctx.gap_hours.get(name, []))
-    pinned_intervals = [
-        (w.start_hours, w.end_hours) for w in _forced_windows(ctx.plans, name)
-    ]
-    windows = subtract_gaps(windows, pinned_intervals)
+    starts, ends = ctx.scheduler.node_windows(node)
+    starts, ends = subtract_gaps(starts, ends, ctx.gap_hours.get(name, []))
+    starts, ends = subtract_gaps(starts, ends, _forced_windows(ctx.plans, name))
     track = build_session_track(
         name,
-        windows,
+        starts,
+        ends,
         rngs.get(f"daemon/{name}"),
         p_full_alloc=config.p_full_alloc,
         p_alloc_fail=config.p_alloc_fail,

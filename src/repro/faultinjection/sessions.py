@@ -6,10 +6,10 @@ the sampling primitives the fault models need: locate the session covering
 a time, sample uniform times inside covered time, round an event time up
 to the scanner iteration that detects it.
 
-Tracks are built from the scheduler's idle windows with the daemon's
-stochastic layer (allocation backoff, rare hard-reboot truncations)
-applied in bulk rather than per-window objects — the paper-scale campaign
-has ~10^6 windows.
+Tracks are built from the scheduler's ``(starts, ends)`` idle-window
+arrays with the daemon's stochastic layer (allocation backoff, rare
+hard-reboot truncations) applied in bulk rather than per window — the
+paper-scale campaign has ~10^6 windows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.records import ScanSession
 from ..core.units import ALLOC_BACKOFF_MB, SCAN_TARGET_MB
-from ..scheduler.jobs import IdleWindow
+from ..scheduler.jobs import merge_touching
 
 #: Pattern codes stored in the track arrays.
 PATTERN_ALTERNATING = 0
@@ -90,7 +90,7 @@ class SessionTrack:
         return np.where(valid, idx, -1)[()]
 
     def covered(self, t_hours) -> np.ndarray | bool:
-        return (np.asarray(self.locate(t_hours)) >= 0)[()]
+        return (np.asarray(self.locate(t_hours), dtype=np.int64) >= 0)[()]
 
     def clip_to(self, t0: float, t1: float):
         """(starts, ends, original indices) of session pieces within [t0, t1)."""
@@ -127,8 +127,8 @@ class SessionTrack:
         NaN.
         """
         t = np.atleast_1d(np.asarray(t_event, dtype=np.float64))
-        idx = np.atleast_1d(np.asarray(self.locate(t)))
-        out = np.full(t.shape, np.nan)
+        idx = np.atleast_1d(np.asarray(self.locate(t), dtype=np.int64))
+        out = np.full(t.shape, np.nan, dtype=np.float64)
         valid = idx >= 0
         if np.any(valid):
             i = idx[valid]
@@ -137,7 +137,7 @@ class SessionTrack:
             k = np.floor((t[valid] - start) / period) + 1.0
             det = start + k * period
             out[valid] = np.minimum(det, np.nextafter(self.ends[i], 0.0))
-        if np.isscalar(t_event) or np.asarray(t_event).ndim == 0:
+        if np.isscalar(t_event) or np.ndim(t_event) == 0:
             return float(out[0])
         return out
 
@@ -158,73 +158,36 @@ class SessionTrack:
         ]
 
     def daily_terabyte_hours(self, n_days: int) -> np.ndarray:
-        """TB-hours of scanning attributed to each study day (Fig 9)."""
+        """TB-hours of scanning attributed to each study day (Fig 9).
+
+        Sessions are cut at midnight into (session, day) pieces.
+        ``np.add.at`` adds them one at a time in session order, which fixes
+        each day's summation order (and so its rounding).
+        """
         out = np.zeros(n_days, dtype=np.float64)
-        for i in range(self.n_sessions):
-            start, end = float(self.starts[i]), float(self.ends[i])
-            mb = float(self.alloc_mb[i])
-            day = int(start // 24.0)
-            while start < end and day < n_days:
-                day_end = (day + 1) * 24.0
-                piece = min(end, day_end) - start
-                if day >= 0:
-                    out[day] += piece * mb / (1024.0 * 1024.0)
-                start = day_end
-                day += 1
+        first = np.floor_divide(self.starts, 24.0).astype(np.int64)
+        # The last day a session covers: the one its end falls in, or the
+        # one before when it ends exactly at midnight.
+        whole = np.floor_divide(self.ends, 24.0)
+        last = np.where(whole * 24.0 < self.ends, whole, whole - 1.0).astype(np.int64)
+        counts = np.maximum(np.minimum(last, n_days - 1) - first + 1, 0)
+        session = np.repeat(np.arange(self.n_sessions), counts)
+        day = first[session] + np.arange(session.shape[0]) - (np.cumsum(counts) - counts)[session]
+        day_start = day.astype(np.float64) * 24.0
+        day_end = (day + 1).astype(np.float64) * 24.0
+        piece_start = np.where(day == first[session], self.starts[session], day_start)
+        piece = np.minimum(self.ends[session], day_end) - piece_start
+        mb = self.alloc_mb[session].astype(np.float64)
+        tbh = piece * mb / (1024.0 * 1024.0)
+        counted = day >= 0
+        np.add.at(out, day[counted], tbh[counted])
         return out
-
-
-def merge_touching(windows: list[IdleWindow], tol: float = 1e-9) -> list[IdleWindow]:
-    """Merge idle windows that touch (full-idle days joining at midnight).
-
-    This is what lets vacation stretches become multi-day scan sessions —
-    needed both for realism and for the long counting-pattern sessions
-    behind several Table I rows.
-    """
-    if not windows:
-        return []
-    windows = sorted(windows, key=lambda w: w.start_hours)
-    merged = [windows[0]]
-    for w in windows[1:]:
-        last = merged[-1]
-        if w.start_hours <= last.end_hours + tol:
-            merged[-1] = IdleWindow(last.start_hours, max(last.end_hours, w.end_hours))
-        else:
-            merged.append(w)
-    return merged
-
-
-def subtract_gaps(
-    windows: list[IdleWindow], gaps: list[tuple[float, float]]
-) -> list[IdleWindow]:
-    """Remove monitoring-gap intervals from idle windows.
-
-    Models periods during which a node simply was not being scanned (the
-    02-04 silence from late November onward in Fig 12).
-    """
-    if not gaps:
-        return list(windows)
-    out: list[IdleWindow] = []
-    for w in windows:
-        pieces = [(w.start_hours, w.end_hours)]
-        for g0, g1 in gaps:
-            next_pieces = []
-            for p0, p1 in pieces:
-                if g1 <= p0 or g0 >= p1:
-                    next_pieces.append((p0, p1))
-                    continue
-                if p0 < g0:
-                    next_pieces.append((p0, g0))
-                if g1 < p1:
-                    next_pieces.append((g1, p1))
-            pieces = next_pieces
-        out.extend(IdleWindow(p0, p1) for p0, p1 in pieces if p1 > p0)
-    return out
 
 
 def build_session_track(
     node: str,
-    windows: list[IdleWindow],
+    starts: np.ndarray,
+    ends: np.ndarray,
     rng: np.random.Generator,
     p_full_alloc: float = 0.92,
     p_alloc_fail: float = 0.002,
@@ -232,7 +195,7 @@ def build_session_track(
     p_truncation: float = 0.004,
     p_counting: float = 0.05,
 ) -> SessionTrack:
-    """Vectorized daemon pass: windows -> session track.
+    """Vectorized daemon pass: idle windows ``(starts, ends)`` -> session track.
 
     Implements the same stochastic layer as
     :class:`repro.scanner.daemon.ScannerDaemon` but in bulk: allocation
@@ -240,19 +203,16 @@ def build_session_track(
     rare total allocation failures, rare hard-reboot truncations (dropped
     and counted), and the scan-pattern choice per session.
     """
-    windows = merge_touching(windows)
-    n = len(windows)
+    starts, ends = merge_touching(starts, ends)
+    n = starts.shape[0]
     if n == 0:
-        empty = np.empty(0)
         return SessionTrack(
             node,
-            empty,
-            empty.copy(),
+            starts,
+            ends,
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int8),
         )
-    starts = np.array([w.start_hours for w in windows])
-    ends = np.array([w.end_hours for w in windows])
 
     u = rng.random(n)
     fail = u < p_alloc_fail

@@ -30,6 +30,10 @@ def _default_hot_paths() -> tuple[str, ...]:
         "logs/frame.py",
         "logs/ingest.py",
         "kernels/",
+        # The campaign's per-node window chain: array code whose results
+        # must stay bit-identical to the per-window loops it replaced.
+        "scheduler/jobs.py",
+        "faultinjection/sessions.py",
         # The prediction package: feature extraction runs per refresh
         # over the whole fleet, and its artifacts must be dtype-stable
         # to stay bit-reproducible.

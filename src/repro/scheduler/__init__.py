@@ -1,12 +1,11 @@
 """Job-scheduler substrate: idle-window generation for scanner runs."""
 
-from .batch import BatchScheduler, ScheduledScan
-from .jobs import ActivityConfig, DailyActivityGenerator, IdleWindow
+from .batch import BatchScheduler
+from .jobs import ActivityConfig, DailyActivityGenerator, subtract_gaps
 
 __all__ = [
     "ActivityConfig",
     "BatchScheduler",
     "DailyActivityGenerator",
-    "IdleWindow",
-    "ScheduledScan",
+    "subtract_gaps",
 ]

@@ -10,22 +10,13 @@ blade 33 loses its downtime, everyone else accumulates ~5000 hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import numpy as np
 
 from ..cluster.node import Node
 from ..cluster.registry import ClusterRegistry
 from ..core.rng import RngFactory
 from ..environment.calendar import AcademicCalendar
-from .jobs import ActivityConfig, DailyActivityGenerator, IdleWindow
-
-
-@dataclass(frozen=True)
-class ScheduledScan:
-    """An idle window on a specific node, ready for the scanner daemon."""
-
-    node: str
-    window: IdleWindow
+from .jobs import ActivityConfig, DailyActivityGenerator, subtract_gaps
 
 
 class BatchScheduler:
@@ -49,30 +40,11 @@ class BatchScheduler:
                 self.calendar, activity, n_days=n_days
             )
 
-    def node_windows(self, node: Node) -> list[IdleWindow]:
-        """Idle windows for one node, clipped to its powered-on intervals."""
+    def node_windows(self, node: Node) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` of one node's idle windows while powered on."""
         if not node.scannable:
-            return []
+            empty = np.empty(0, dtype=np.float64)
+            return empty, empty.copy()
         rng = self.rng_factory.fresh(f"scheduler/{node.node_id}")
-        raw = self._generator.idle_windows(rng)
-        windows: list[IdleWindow] = []
-        for w in raw:
-            for on_start, on_end in node.on_windows(w.start_hours, w.end_hours):
-                if on_end > on_start:
-                    windows.append(IdleWindow(on_start, on_end))
-        return windows
-
-    def all_scans(self) -> Iterator[ScheduledScan]:
-        """Every scan window across the machine (node-major order)."""
-        for node in self.registry.scanned_nodes():
-            name = str(node.node_id)
-            for window in self.node_windows(node):
-                yield ScheduledScan(node=name, window=window)
-
-    def total_idle_hours(self) -> float:
-        """Total scheduled scanning hours over the machine (pre-daemon)."""
-        return sum(
-            w.duration_hours
-            for node in self.registry.scanned_nodes()
-            for w in self.node_windows(node)
-        )
+        starts, ends = self._generator.idle_windows(rng)
+        return subtract_gaps(starts, ends, node.off_intervals)

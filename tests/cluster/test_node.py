@@ -3,21 +3,34 @@
 import pytest
 
 from repro.cluster.node import Node, NodeRole
+from repro.cluster.registry import ClusterRegistry
 from repro.cluster.topology import NodeId
+from repro.scheduler import BatchScheduler, subtract_gaps
 
 
 def make_node(role=NodeRole.COMPUTE):
     return Node(NodeId(5, 5), role=role)
 
 
+def on_windows(node, start, end):
+    """Sub-intervals of ``[start, end)`` during which ``node`` is on."""
+    starts, ends = subtract_gaps([start], [end], node.off_intervals)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 class TestOffIntervals:
     def test_is_off(self):
         node = make_node()
         node.add_off_interval(10.0, 20.0)
-        assert node.is_off(10.0)
-        assert node.is_off(19.99)
-        assert not node.is_off(20.0)
-        assert not node.is_off(5.0)
+        windows = on_windows(node, 0.0, 30.0)
+
+        def is_on(t):
+            return any(s <= t < e for s, e in windows)
+
+        assert not is_on(10.0)
+        assert not is_on(19.99)
+        assert is_on(20.0)
+        assert is_on(5.0)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
@@ -26,19 +39,19 @@ class TestOffIntervals:
     def test_on_windows_simple(self):
         node = make_node()
         node.add_off_interval(10.0, 20.0)
-        assert node.on_windows(0.0, 30.0) == [(0.0, 10.0), (20.0, 30.0)]
+        assert on_windows(node, 0.0, 30.0) == [(0.0, 10.0), (20.0, 30.0)]
 
     def test_on_windows_nested_queries(self):
         node = make_node()
         node.add_off_interval(10.0, 20.0)
-        assert node.on_windows(12.0, 18.0) == []
-        assert node.on_windows(15.0, 25.0) == [(20.0, 25.0)]
+        assert on_windows(node, 12.0, 18.0) == []
+        assert on_windows(node, 15.0, 25.0) == [(20.0, 25.0)]
 
     def test_on_windows_multiple_gaps(self):
         node = make_node()
         node.add_off_interval(10.0, 20.0)
         node.add_off_interval(30.0, 40.0)
-        assert node.on_windows(0.0, 50.0) == [
+        assert on_windows(node, 0.0, 50.0) == [
             (0.0, 10.0),
             (20.0, 30.0),
             (40.0, 50.0),
@@ -47,12 +60,16 @@ class TestOffIntervals:
     def test_off_hours(self):
         node = make_node()
         node.add_off_interval(10.0, 20.0)
-        assert node.off_hours(0.0, 30.0) == pytest.approx(10.0)
+        on = sum(e - s for s, e in on_windows(node, 0.0, 30.0))
+        assert 30.0 - on == pytest.approx(10.0)
 
     def test_login_node_never_on(self):
-        node = make_node(NodeRole.LOGIN)
-        assert node.on_windows(0.0, 100.0) == []
+        registry = ClusterRegistry()
+        node = registry.get("01-01")
+        assert node.role is NodeRole.LOGIN
         assert not node.scannable
+        starts, _ = BatchScheduler(registry, n_days=10).node_windows(node)
+        assert starts.size == 0
 
     def test_dead_node_not_scannable(self):
         assert not make_node(NodeRole.DEAD).scannable

@@ -29,6 +29,18 @@ class TestPopcount:
     def test_matches_python_bin(self, w):
         assert bitops.popcount(w) == bin(w).count("1")
 
+    @pytest.mark.parametrize(
+        "value", [0, 5, 0xFFFFFFFF, -1, -0x80000001, 2**40 + 3, 2**63 - 1, 2**64 - 1]
+    )
+    def test_scalar_equals_array(self, value):
+        """Negative and wider-than-32-bit ints are masked, as arrays are."""
+        dtype = np.uint64 if value >= 2**63 else np.int64
+        expected = int(bitops.popcount(np.array([value], dtype=dtype))[0])
+        for scalar in (value, dtype(value), np.array(value, dtype=dtype)):
+            result = bitops.popcount(scalar)
+            assert type(result) is int
+            assert result == expected
+
 
 class TestFlippedMask:
     @given(WORDS, WORDS)
@@ -101,6 +113,17 @@ class TestFlipDirections:
     def test_sum_is_total_flips(self, a, b):
         otz, zto = bitops.flip_directions(a, b)
         assert otz + zto == bitops.n_flipped_bits(a, b)
+
+    @given(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    )
+    def test_scalar_equals_array(self, a, b):
+        otz, zto = bitops.flip_directions(np.array([a]), np.array([b]))
+        for pair in ((a, b), (np.int64(a), np.int64(b)), (np.array(a), np.array(b))):
+            result = bitops.flip_directions(*pair)
+            assert all(type(n) is int for n in result)
+            assert result == (int(otz[0]), int(zto[0]))
 
 
 class TestGapsAndSpans:

@@ -8,10 +8,8 @@ from repro.faultinjection.sessions import (
     PATTERN_ALTERNATING,
     SessionTrack,
     build_session_track,
-    merge_touching,
-    subtract_gaps,
 )
-from repro.scheduler.jobs import IdleWindow
+from repro.scheduler.jobs import merge_touching, subtract_gaps
 
 
 def track(starts, ends, alloc=3072):
@@ -25,36 +23,50 @@ def track(starts, ends, alloc=3072):
     )
 
 
+def pairs(windows):
+    starts, ends = windows
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def spaced(n):
+    """``n`` five-hour windows, ten hours apart."""
+    starts = np.arange(n, dtype=np.float64) * 10.0
+    return starts, starts + 5.0
+
+
 class TestMergeTouching:
     def test_merges_midnight_joins(self):
-        windows = [IdleWindow(0.0, 24.0), IdleWindow(24.0, 48.0)]
-        merged = merge_touching(windows)
-        assert merged == [IdleWindow(0.0, 48.0)]
+        merged = merge_touching(np.array([0.0, 24.0]), np.array([24.0, 48.0]))
+        assert pairs(merged) == [(0.0, 48.0)]
 
     def test_keeps_gaps(self):
-        windows = [IdleWindow(0.0, 5.0), IdleWindow(6.0, 10.0)]
-        assert len(merge_touching(windows)) == 2
+        starts, _ = merge_touching(np.array([0.0, 6.0]), np.array([5.0, 10.0]))
+        assert len(starts) == 2
 
     def test_handles_overlap(self):
-        windows = [IdleWindow(0.0, 10.0), IdleWindow(5.0, 12.0)]
-        assert merge_touching(windows) == [IdleWindow(0.0, 12.0)]
+        merged = merge_touching(np.array([5.0, 0.0]), np.array([12.0, 10.0]))
+        assert pairs(merged) == [(0.0, 12.0)]
 
     def test_empty(self):
-        assert merge_touching([]) == []
+        assert pairs(merge_touching(np.empty(0), np.empty(0))) == []
 
 
 class TestSubtractGaps:
     def test_punches_hole(self):
-        windows = [IdleWindow(0.0, 10.0)]
-        out = subtract_gaps(windows, [(3.0, 5.0)])
-        assert out == [IdleWindow(0.0, 3.0), IdleWindow(5.0, 10.0)]
+        out = subtract_gaps(np.array([0.0]), np.array([10.0]), [(3.0, 5.0)])
+        assert pairs(out) == [(0.0, 3.0), (5.0, 10.0)]
 
     def test_swallows_window(self):
-        assert subtract_gaps([IdleWindow(4.0, 6.0)], [(0.0, 10.0)]) == []
+        out = subtract_gaps(np.array([4.0]), np.array([6.0]), [(0.0, 10.0)])
+        assert pairs(out) == []
 
     def test_no_gaps(self):
-        windows = [IdleWindow(0.0, 1.0)]
-        assert subtract_gaps(windows, []) == windows
+        assert pairs(subtract_gaps(np.array([0.0]), np.array([1.0]), [])) == [(0.0, 1.0)]
+
+    def test_unsorted_overlapping_and_touching_gaps(self):
+        gaps = [(30.0, 40.0), (12.0, 18.0), (10.0, 15.0), (40.0, 45.0)]
+        out = subtract_gaps(np.array([0.0, 42.0]), np.array([50.0, 60.0]), gaps)
+        assert pairs(out) == [(0.0, 10.0), (18.0, 30.0), (45.0, 50.0), (45.0, 60.0)]
 
 
 class TestTrackQueries:
@@ -127,29 +139,26 @@ class TestTrackQueries:
 class TestBuildTrack:
     def test_build_basic(self):
         rng = np.random.default_rng(0)
-        windows = [IdleWindow(float(i * 10), float(i * 10 + 5)) for i in range(200)]
-        t = build_session_track("05-05", windows, rng, p_truncation=0.0)
+        t = build_session_track("05-05", *spaced(200), rng, p_truncation=0.0)
         assert t.n_sessions == 200
         assert (t.alloc_mb <= 3072).all()
         assert (t.alloc_mb > 0).all()
 
     def test_truncation_drops_sessions(self):
         rng = np.random.default_rng(1)
-        windows = [IdleWindow(float(i * 10), float(i * 10 + 5)) for i in range(500)]
-        t = build_session_track("05-05", windows, rng, p_truncation=0.5)
+        t = build_session_track("05-05", *spaced(500), rng, p_truncation=0.5)
         assert t.n_truncated > 100
         assert t.n_sessions + t.n_truncated <= 500
 
     def test_counting_fraction(self):
         rng = np.random.default_rng(2)
-        windows = [IdleWindow(float(i * 10), float(i * 10 + 5)) for i in range(1000)]
         t = build_session_track(
-            "05-05", windows, rng, p_truncation=0.0, p_counting=0.3
+            "05-05", *spaced(1000), rng, p_truncation=0.0, p_counting=0.3
         )
         frac = float((t.pattern != PATTERN_ALTERNATING).mean())
         assert 0.2 < frac < 0.4
 
     def test_empty_windows(self):
-        t = build_session_track("05-05", [], np.random.default_rng(0))
+        t = build_session_track("05-05", *spaced(0), np.random.default_rng(0))
         assert t.n_sessions == 0
         assert t.monitored_hours == 0.0

@@ -128,4 +128,7 @@ class TestKernelsAreHotByDefault:
         config = LintConfig()
         assert config.is_hot_path("src/repro/kernels/scan.py")
         assert config.is_hot_path("src/repro/kernels/extract.py")
+        assert config.is_hot_path("src/repro/scheduler/jobs.py")
+        assert config.is_hot_path("src/repro/faultinjection/sessions.py")
         assert not config.is_hot_path("src/repro/scanner/tool.py")
+        assert not config.is_hot_path("src/repro/faultinjection/campaign.py")
