@@ -18,10 +18,23 @@ import numpy as np
 DEFAULT_SEED = 20160213  # SC'16 vintage; arbitrary but fixed.
 
 
-def _key_entropy(key: str) -> list[int]:
-    """Stable 128-bit entropy derived from a string key."""
+def _entropy(root_seed: int, key: str) -> np.ndarray:
+    """``SeedSequence`` entropy for a (root seed, key) pair, as uint32 words.
+
+    The root seed's 32-bit words come first, least significant first (the
+    way ``SeedSequence`` splits a Python int, including its ``ValueError``
+    for a negative seed), then 128 bits of ``sha256(key)``.  Handing
+    ``SeedSequence`` one uint32 array instead of a list of Python ints
+    yields the same generator state and skips its per-element coercion.
+    """
+    root_seed = int(root_seed)
+    if root_seed < 0:
+        raise ValueError("expected non-negative integer")
+    n_words = max(1, -(-root_seed.bit_length() // 32))
     digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.frombuffer(
+        root_seed.to_bytes(4 * n_words, "little") + digest[:16], dtype="<u4"
+    )
 
 
 def stream(root_seed: int, key: str) -> np.random.Generator:
@@ -30,7 +43,7 @@ def stream(root_seed: int, key: str) -> np.random.Generator:
     ``stream(s, k)`` is a pure function: the same (seed, key) pair always
     yields an identical generator state.
     """
-    seq = np.random.SeedSequence([int(root_seed)] + _key_entropy(key))
+    seq = np.random.SeedSequence(_entropy(root_seed, key))
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -57,28 +57,42 @@ class TemperatureModel:
 
         Jitter is deterministic in (node, time): re-querying the same
         instant returns the same reading, like a real sensor log would.
+        Each distinct quantized second draws one stream, shared by every
+        time that rounds to it.
         """
         room = np.asarray(self.room_temperature(t_hours), dtype=np.float64)
         offset = placement_for(node_id).offset_c
         temp = room + offset
         if jitter and self.jitter_std_c > 0.0:
-            t = np.atleast_1d(np.asarray(t_hours, dtype=np.float64))
+            t = np.asarray(t_hours, dtype=np.float64)
             # Hash (node, quantized time) into a reproducible jitter draw.
             quanta = np.round(t * 3600.0).astype(np.int64)
-            jit = np.empty_like(t)
-            for i, q in enumerate(quanta):
-                gen = stream(self.seed, f"temp/{node_id}/{int(q)}")
-                jit[i] = gen.normal(0.0, self.jitter_std_c)
-            temp = temp + (jit if np.asarray(t_hours).ndim else jit[0])
+            seconds, inverse = np.unique(quanta, return_inverse=True)
+            draws = np.array(
+                [
+                    stream(self.seed, f"temp/{node_id}/{q}").normal(0.0, self.jitter_std_c)
+                    for q in seconds.tolist()
+                ],
+                dtype=np.float64,
+            )
+            temp = temp + draws[inverse.reshape(-1)].reshape(t.shape)
         return temp[()] if isinstance(temp, np.ndarray) else temp
 
     @staticmethod
-    def telemetry_available(t_hours: float) -> bool:
+    def telemetry_available(t_hours: np.ndarray | float) -> np.ndarray | bool:
         """Whether temperature was being logged at ``t_hours`` (Sec III-F)."""
         return t_hours >= timeutils.TEMPERATURE_LOGGING_START
 
-    def reading(self, node_id: NodeId, t_hours: float) -> float | None:
-        """Sensor reading as recorded in a log entry (None before Apr 2015)."""
-        if not self.telemetry_available(t_hours):
-            return None
-        return float(self.node_temperature(node_id, t_hours))
+    def reading(self, node_id: NodeId, t_hours) -> np.ndarray:
+        """Sensor readings of one node as recorded in its log entries.
+
+        ``t_hours`` is an array of study times; the readings come back in
+        its shape, NaN where telemetry was not yet logged (before April
+        2015; a record then carries no temperature).
+        """
+        t = np.asarray(t_hours, dtype=np.float64)
+        out = np.full(t.shape, np.nan, dtype=np.float64)
+        logged = self.telemetry_available(t)
+        if np.any(logged):
+            out[logged] = self.node_temperature(node_id, t[logged])
+        return out

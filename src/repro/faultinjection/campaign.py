@@ -20,9 +20,11 @@ Execution
 
 Steps 2-4 are *per-node independent*: every node's session track, fault
 models and record rendering consume only per-node RNG streams (pure
-functions of ``(seed, key)``), so the campaign fans the per-node work out
-over the :mod:`repro.parallel` backends.  The only cross-node stages — the
-Table I catalogue (one sequential RNG stream threading companion/pair
+functions of ``(seed, key)``).  Step 2 runs a block of nodes at a time
+(a block's arrays in one pass, each node's streams drawn as on its own),
+once per process; steps 3-4 fan out per node over the
+:mod:`repro.parallel` backends.  The only cross-node stages — the Table I
+catalogue (one sequential RNG stream threading companion/pair
 bookkeeping across nodes) and archive assembly — stay in the parent.
 Serial, thread and process runs of the same seed produce bit-identical
 archives and tracks.
@@ -30,6 +32,7 @@ archives and tracks.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -58,7 +61,7 @@ from ..parallel import (
     supervised_map,
 )
 from ..scheduler.batch import BatchScheduler
-from ..scheduler.jobs import subtract_gaps
+from ..scheduler.jobs import subtract_node_gaps
 from .config import CampaignConfig, paper_campaign_config
 from .models import (
     Observation,
@@ -74,10 +77,29 @@ from .sessions import (
     PATTERN_COUNTING,
     SessionTrack,
     build_session_track,
+    daily_terabyte_hours,
 )
 
 #: Words in a full 3 GB scan buffer (address-map capacity).
 _FULL_WORDS = (SCAN_TARGET_MB * 1024 * 1024) // 4
+
+#: Node-days per block of the session-track front end (scheduler windows,
+#: gap cuts, daemon layer) and of the daily TB-hour cut.  A block makes a
+#: few NumPy calls in place of a few per node; bounding it by node-days
+#: keeps its temporaries to a few MB at any study length.
+BLOCK_NODE_DAYS = 8192
+
+
+def _blocks(names: list[str], n_days: int):
+    """``names`` in consecutive blocks of about BLOCK_NODE_DAYS node-days."""
+    per_block = max(1, BLOCK_NODE_DAYS // max(1, n_days))
+    for lo in range(0, len(names), per_block):
+        yield names[lo : lo + per_block]
+
+
+def _logged(temperature_c: float) -> float | None:
+    """A record's temperature field: None where the reading is NaN."""
+    return None if math.isnan(temperature_c) else temperature_c
 
 
 @dataclass(frozen=True)
@@ -254,9 +276,12 @@ class CampaignResult:
         return float(sum(t.terabyte_hours for t in self.tracks.values()))
 
     def daily_terabyte_hours(self) -> np.ndarray:
-        out = np.zeros(self.config.n_days, dtype=np.float64)
-        for track in self.tracks.values():
-            out += track.daily_terabyte_hours(self.config.n_days)
+        """Fig 9's daily TB-hours: node rows added in track order."""
+        n_days = self.config.n_days
+        out = np.zeros(n_days, dtype=np.float64)
+        for block in _blocks(list(self.tracks), n_days):
+            for row in daily_terabyte_hours([self.tracks[n] for n in block], n_days):
+                out += row
         return out
 
     @cached_property
@@ -316,16 +341,8 @@ class CampaignResult:
         )
 
 
-def _forced_windows(plans, node: str) -> list[tuple[float, float]]:
-    """Pinned session intervals for a node, as ``(start, end)`` pairs."""
-    return [p.pinned for p in plans if p.node == node and p.pinned is not None]
-
-
-def _insert_pinned(
-    track: SessionTrack, plans, node: str
-) -> SessionTrack:
-    """Append a node's pinned sessions to its stochastic track."""
-    pinned = [p for p in plans if p.node == node and p.pinned is not None]
+def _insert_pinned(track: SessionTrack, pinned) -> SessionTrack:
+    """Append a node's pinned catalogue sessions to its stochastic track."""
     if not pinned:
         return track
     starts = np.concatenate([track.starts, [p.pinned[0] for p in pinned]])
@@ -340,7 +357,7 @@ def _insert_pinned(
     pattern = np.concatenate([track.pattern, np.asarray(pattern_codes, dtype=np.int8)])
     order = np.argsort(starts, kind="stable")
     return SessionTrack(
-        node=node,
+        node=track.node,
         starts=starts[order],
         ends=ends[order],
         alloc_mb=alloc[order],
@@ -354,9 +371,10 @@ class _CampaignContext:
 
     Everything here is a pure function of the config: the registry, the
     scheduler (which derives per-node streams via ``fresh``), the
-    temperature field, and the catalogue plan (which consumes exactly the
-    ``catalogue/plan`` stream).  Worker processes rebuild it once via the
-    pool initializer instead of pickling it into every task.
+    temperature field, the catalogue plan (which consumes exactly the
+    ``catalogue/plan`` stream) and every node's session track.  Worker
+    processes rebuild it once via the pool initializer instead of
+    pickling it into every task.
     """
 
     def __init__(self, config: CampaignConfig, materialize_lifecycle: bool = False):
@@ -373,6 +391,10 @@ class _CampaignContext:
         )
         self.temperature = TemperatureModel(seed=config.seed)
         self.plans = plan_catalogue(config, self.rngs.get("catalogue/plan"))
+        self.pinned: dict[str, list] = {}
+        for plan in self.plans:
+            if plan.pinned is not None:
+                self.pinned.setdefault(plan.node, []).append(plan)
         self.reserved = config.reserved_nodes()
         self.weak_by_node = {w.node: w for w in config.weak_bits}
         self.gap_hours = {
@@ -386,6 +408,7 @@ class _CampaignContext:
         }
         self._maps: dict[str, AddressMap] = {}
         self._node_ids: dict[str, NodeId] = {}
+        self._tracks: dict[str, SessionTrack] | None = None
 
     def address_map(self, name: str) -> AddressMap:
         amap = self._maps.get(name)
@@ -401,21 +424,66 @@ class _CampaignContext:
             self._node_ids[name] = node_id
         return node_id
 
+    def tracks(self) -> dict[str, SessionTrack]:
+        """Every scanned node's session track (built on first use)."""
+        if self._tracks is None:
+            self._tracks = {}
+            for block in _blocks(list(self.nodes_by_name), self.config.n_days):
+                self._tracks.update(zip(block, self._block_tracks(block)))
+        return self._tracks
+
+    def _block_tracks(self, names: list[str]) -> list[SessionTrack]:
+        """Scheduler windows -> gap cuts -> daemon layer for a block of nodes.
+
+        Each node's windows lose its power-off spans (in the scheduler),
+        then the degrading node's monitoring gaps and its pinned catalogue
+        sessions; the pinned sessions then join the track.
+        """
+        config = self.config
+        starts, ends, bounds = self.scheduler.node_windows(
+            [self.nodes_by_name[name] for name in names]
+        )
+        gaps = {}
+        for i, name in enumerate(names):
+            cut = self.gap_hours.get(name, []) + [p.pinned for p in self.pinned.get(name, [])]
+            if cut:
+                gaps[i] = cut
+        starts, ends, bounds = subtract_node_gaps(starts, ends, bounds, gaps)
+        tracks = build_session_track(
+            names,
+            starts,
+            ends,
+            bounds,
+            [self.rngs.fresh(f"daemon/{name}") for name in names],
+            p_full_alloc=config.p_full_alloc,
+            p_alloc_fail=config.p_alloc_fail,
+            leak_mean_mb=config.leak_mean_mb,
+            p_truncation=config.p_truncation,
+            p_counting=[
+                0.0 if name in self.reserved else config.p_counting for name in names
+            ],
+        )
+        return [_insert_pinned(track, self.pinned.get(track.node)) for track in tracks]
+
     def render(self, observations: list[Observation]) -> list[ErrorRecord]:
         """Observations -> ERROR records (addresses + temperature).
 
-        Addresses are mapped with one array call per node.
+        Addresses are mapped, and temperatures read, with one array call
+        per node.
         """
         rows_by_node: dict[str, list[int]] = {}
         for i, obs in enumerate(observations):
             rows_by_node.setdefault(obs.node, []).append(i)
         words = np.array([obs.word_index for obs in observations], dtype=np.int64)
+        times = np.array([obs.time_hours for obs in observations], dtype=np.float64)
         virtual = np.zeros(len(observations), dtype=np.int64)
         page = np.zeros(len(observations), dtype=np.int64)
+        temperature = np.empty(len(observations), dtype=np.float64)
         for name, rows in rows_by_node.items():
             amap = self.address_map(name)
             virtual[rows] = amap.virtual_address(words[rows])
             page[rows] = amap.physical_page(words[rows])
+            temperature[rows] = self.temperature.reading(self.node_id(name), times[rows])
         return [
             ErrorRecord(
                 timestamp_hours=obs.time_hours,
@@ -424,11 +492,39 @@ class _CampaignContext:
                 physical_page=pp,
                 expected=obs.expected,
                 actual=obs.actual,
-                temperature_c=self.temperature.reading(self.node_id(obs.node), obs.time_hours),
+                temperature_c=_logged(tc),
                 repeat_count=obs.repeat_count,
             )
-            for obs, va, pp in zip(observations, virtual.tolist(), page.tolist())
+            for obs, va, pp, tc in zip(
+                observations, virtual.tolist(), page.tolist(), temperature.tolist()
+            )
         ]
+
+    def lifecycle(self, track: SessionTrack) -> list:
+        """START/END records of a track's sessions, temperatures in one call."""
+        n = track.n_sessions
+        starts, ends = track.starts.tolist(), track.ends.tolist()
+        temperature = self.temperature.reading(
+            self.node_id(track.node), np.concatenate([track.starts, track.ends])
+        ).tolist()
+        records: list = []
+        for i, mb in enumerate(track.alloc_mb.tolist()):
+            records.append(
+                StartRecord(
+                    timestamp_hours=starts[i],
+                    node=track.node,
+                    allocated_mb=mb,
+                    temperature_c=_logged(temperature[i]),
+                )
+            )
+            records.append(
+                EndRecord(
+                    timestamp_hours=ends[i],
+                    node=track.node,
+                    temperature_c=_logged(temperature[n + i]),
+                )
+            )
+        return records
 
 
 @dataclass
@@ -453,34 +549,19 @@ class _NodeResult:
 
 
 def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
-    """The embarrassingly-parallel unit: one node, end to end.
+    """The embarrassingly-parallel unit: one node's faults and records.
 
-    Consumes only per-node RNG streams (``daemon/<n>``, ``bg/<n>``,
-    ``weak/<n>``) plus the single-consumer ``stuck``/``degrading`` streams
-    on their dedicated nodes — the same streams, in the same order, as a
-    serial run, so the output is bit-identical regardless of backend.
+    The node's session track comes from the context's block pass.  The
+    unit consumes only per-node RNG streams (``bg/<n>``, ``weak/<n>``)
+    plus the single-consumer ``stuck``/``degrading`` streams on their
+    dedicated nodes — the same streams, in the same order, as a serial
+    run, so the output is bit-identical regardless of backend.
     """
     t_begin = time.perf_counter()
     config = ctx.config
     node = ctx.nodes_by_name[name]
     rngs = ctx.rngs.spawn()
-
-    # -- session track ------------------------------------------------------
-    starts, ends = ctx.scheduler.node_windows(node)
-    starts, ends = subtract_gaps(starts, ends, ctx.gap_hours.get(name, []))
-    starts, ends = subtract_gaps(starts, ends, _forced_windows(ctx.plans, name))
-    track = build_session_track(
-        name,
-        starts,
-        ends,
-        rngs.get(f"daemon/{name}"),
-        p_full_alloc=config.p_full_alloc,
-        p_alloc_fail=config.p_alloc_fail,
-        leak_mean_mb=config.leak_mean_mb,
-        p_truncation=config.p_truncation,
-        p_counting=0.0 if name in ctx.reserved else config.p_counting,
-    )
-    track = _insert_pinned(track, ctx.plans, name)
+    track = ctx.tracks()[name]
 
     # -- fault models -------------------------------------------------------
     observations: list[Observation] = []
@@ -507,26 +588,7 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
 
     # -- render -------------------------------------------------------------
     records = ctx.render(observations)
-    lifecycle: list = []
-    if ctx.materialize_lifecycle:
-        node_id = ctx.node_id(name)
-        for i in range(track.n_sessions):
-            t0, t1 = float(track.starts[i]), float(track.ends[i])
-            lifecycle.append(
-                StartRecord(
-                    timestamp_hours=t0,
-                    node=name,
-                    allocated_mb=int(track.alloc_mb[i]),
-                    temperature_c=ctx.temperature.reading(node_id, t0),
-                )
-            )
-            lifecycle.append(
-                EndRecord(
-                    timestamp_hours=t1,
-                    node=name,
-                    temperature_c=ctx.temperature.reading(node_id, t1),
-                )
-            )
+    lifecycle = ctx.lifecycle(track) if ctx.materialize_lifecycle else []
     return _NodeResult(
         node=name,
         track=track,
@@ -551,6 +613,7 @@ SHARD_HANDOFF_ENV = "REPRO_SHARD_HANDOFF"
 def _init_worker(config: CampaignConfig, materialize_lifecycle: bool) -> None:
     global _WORKER_CTX
     _WORKER_CTX = _CampaignContext(config, materialize_lifecycle)
+    _WORKER_CTX.tracks()
 
 
 def _init_worker_streaming(
@@ -674,7 +737,9 @@ def run_campaign(
     degraded: DegradedResult | None = None
     n_retries = n_timeouts = n_pool_rebuilds = n_resumed = 0
 
-    # -- parallel phase: per-node track + models + rendering ---------------
+    # -- parallel phase: per-node models + rendering -----------------------
+    # Every process (the serial/thread parent or each process worker)
+    # builds all session tracks once, in blocks, before its first unit.
     if not supervise:
         if exec_backend == "process":
             results: list[_NodeResult] = parallel_map(
@@ -691,6 +756,7 @@ def run_campaign(
                 names,
                 backend=exec_backend,
                 workers=n_workers,
+                initializer=ctx.tracks,
             )
     else:
         from ..cache import CampaignJournal, config_digest
@@ -834,6 +900,7 @@ def run_campaign(
                     keys=remaining,
                     backend=exec_backend,
                     workers=n_workers,
+                    initializer=ctx.tracks,
                     retry=retry,
                     unit_timeout=unit_timeout,
                     chaos=chaos,

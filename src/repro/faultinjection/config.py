@@ -258,6 +258,7 @@ class CampaignConfig:
             raise ConfigurationError("degrading ramp must have positive length")
         if not 0.0 <= self.p_counting <= 1.0:
             raise ConfigurationError("p_counting must be a probability")
+        self.activity.validate()
         hosts = [n for _, n in self.placement.undetectable_hosts]
         if len(self.placement.undetectable_days) != len(hosts):
             raise ConfigurationError("undetectable days/hosts length mismatch")

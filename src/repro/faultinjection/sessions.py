@@ -6,15 +6,17 @@ the sampling primitives the fault models need: locate the session covering
 a time, sample uniform times inside covered time, round an event time up
 to the scanner iteration that detects it.
 
-Tracks are built from the scheduler's ``(starts, ends)`` idle-window
-arrays with the daemon's stochastic layer (allocation backoff, rare
-hard-reboot truncations) applied in bulk rather than per window — the
-paper-scale campaign has ~10^6 windows.
+Tracks are built a block of nodes at a time from the scheduler's
+``(starts, ends, bounds)`` idle-window arrays, with the daemon's
+stochastic layer (allocation backoff, rare hard-reboot truncations)
+applied in bulk rather than per window or per node — the paper-scale
+campaign has ~10^6 windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -158,44 +160,63 @@ class SessionTrack:
         ]
 
     def daily_terabyte_hours(self, n_days: int) -> np.ndarray:
-        """TB-hours of scanning attributed to each study day (Fig 9).
+        """TB-hours of scanning attributed to each study day (Fig 9)."""
+        return daily_terabyte_hours([self], n_days)[0]
 
-        Sessions are cut at midnight into (session, day) pieces.
-        ``np.add.at`` adds them one at a time in session order, which fixes
-        each day's summation order (and so its rounding).
-        """
-        out = np.zeros(n_days, dtype=np.float64)
-        first = np.floor_divide(self.starts, 24.0).astype(np.int64)
-        # The last day a session covers: the one its end falls in, or the
-        # one before when it ends exactly at midnight.
-        whole = np.floor_divide(self.ends, 24.0)
-        last = np.where(whole * 24.0 < self.ends, whole, whole - 1.0).astype(np.int64)
-        counts = np.maximum(np.minimum(last, n_days - 1) - first + 1, 0)
-        session = np.repeat(np.arange(self.n_sessions), counts)
-        day = first[session] + np.arange(session.shape[0]) - (np.cumsum(counts) - counts)[session]
-        day_start = day.astype(np.float64) * 24.0
-        day_end = (day + 1).astype(np.float64) * 24.0
-        piece_start = np.where(day == first[session], self.starts[session], day_start)
-        piece = np.minimum(self.ends[session], day_end) - piece_start
-        mb = self.alloc_mb[session].astype(np.float64)
-        tbh = piece * mb / (1024.0 * 1024.0)
-        counted = day >= 0
-        np.add.at(out, day[counted], tbh[counted])
+
+def daily_terabyte_hours(tracks: Sequence[SessionTrack], n_days: int) -> np.ndarray:
+    """TB-hours of scanning per (track, study day), shape ``(len(tracks), n_days)``.
+
+    Sessions are cut at midnight into (session, day) pieces, in track
+    then session order.  ``np.add.at`` adds them one at a time in that
+    order, which fixes each cell's summation order (and so its rounding).
+    """
+    out = np.zeros((len(tracks), n_days), dtype=np.float64)
+    if not tracks:
         return out
+    starts = np.concatenate([t.starts for t in tracks])
+    ends = np.concatenate([t.ends for t in tracks])
+    alloc_mb = np.concatenate([t.alloc_mb for t in tracks])
+    row = np.repeat(np.arange(len(tracks)), [t.n_sessions for t in tracks])
+    first = np.floor_divide(starts, 24.0).astype(np.int64)
+    # The last day a session covers: the one its end falls in, or the
+    # one before when it ends exactly at midnight.
+    whole = np.floor_divide(ends, 24.0)
+    last = np.where(whole * 24.0 < ends, whole, whole - 1.0).astype(np.int64)
+    counts = np.maximum(np.minimum(last, n_days - 1) - first + 1, 0)
+    session = np.repeat(np.arange(starts.shape[0]), counts)
+    day = first[session] + np.arange(session.shape[0]) - (np.cumsum(counts) - counts)[session]
+    day_start = day.astype(np.float64) * 24.0
+    day_end = (day + 1).astype(np.float64) * 24.0
+    piece_start = np.where(day == first[session], starts[session], day_start)
+    piece = np.minimum(ends[session], day_end) - piece_start
+    mb = alloc_mb[session].astype(np.float64)
+    tbh = piece * mb / (1024.0 * 1024.0)
+    counted = day >= 0
+    np.add.at(out, (row[session][counted], day[counted]), tbh[counted])
+    return out
 
 
 def build_session_track(
-    node: str,
+    nodes: Sequence[str],
     starts: np.ndarray,
     ends: np.ndarray,
-    rng: np.random.Generator,
+    bounds,
+    rngs: Sequence[np.random.Generator],
     p_full_alloc: float = 0.92,
     p_alloc_fail: float = 0.002,
     leak_mean_mb: float = 400.0,
     p_truncation: float = 0.004,
-    p_counting: float = 0.05,
-) -> SessionTrack:
-    """Vectorized daemon pass: idle windows ``(starts, ends)`` -> session track.
+    p_counting: float | Sequence[float] = 0.05,
+) -> list[SessionTrack]:
+    """Vectorized daemon pass over a block: idle windows -> one track per node.
+
+    Node ``i``'s idle windows are ``starts[bounds[i]:bounds[i + 1]]``; they
+    are merged where they touch, then its stream ``rngs[i]`` draws the
+    daemon layer for its merged windows in the order a one-node block
+    draws it (allocation ``random``, leak ``exponential``, truncation
+    ``random``, pattern ``random``; nothing for a node without windows).
+    ``p_counting`` is one probability or one per node.
 
     Implements the same stochastic layer as
     :class:`repro.scanner.daemon.ScannerDaemon` but in bulk: allocation
@@ -203,21 +224,24 @@ def build_session_track(
     rare total allocation failures, rare hard-reboot truncations (dropped
     and counted), and the scan-pattern choice per session.
     """
-    starts, ends = merge_touching(starts, ends)
+    if len(rngs) != len(nodes):
+        raise ValueError("build_session_track needs one stream per node")
+    starts, ends, bounds = merge_touching(starts, ends, bounds)
     n = starts.shape[0]
-    if n == 0:
-        return SessionTrack(
-            node,
-            starts,
-            ends,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int8),
-        )
+    counts = np.diff(bounds)
+    u = np.empty(n, dtype=np.float64)
+    leak_mb = np.empty(n, dtype=np.float64)
+    truncation_draws = np.empty(n, dtype=np.float64)
+    pattern_draws = np.empty(n, dtype=np.float64)
+    for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            rng.random(out=u[lo:hi])
+            leak_mb[lo:hi] = rng.exponential(leak_mean_mb, size=hi - lo)
+            rng.random(out=truncation_draws[lo:hi])
+            rng.random(out=pattern_draws[lo:hi])
 
-    u = rng.random(n)
     fail = u < p_alloc_fail
     leak = u < p_alloc_fail + (1.0 - p_full_alloc - p_alloc_fail)
-    leak_mb = rng.exponential(leak_mean_mb, size=n)
     available = np.where(leak, SCAN_TARGET_MB - leak_mb, float(SCAN_TARGET_MB))
     # The backoff loop starts at 3 GB and steps down by 10 MB, so requests
     # live on the grid {3072 - 10k}; it lands on the largest grid value
@@ -225,15 +249,24 @@ def build_session_track(
     deficit = np.maximum(0.0, SCAN_TARGET_MB - available)
     steps = np.ceil(deficit / ALLOC_BACKOFF_MB)
     alloc = (SCAN_TARGET_MB - steps * ALLOC_BACKOFF_MB).astype(np.int64)
-    truncated = rng.random(n) < p_truncation
+    truncated = truncation_draws < p_truncation
     keep = (~fail) & (~truncated) & (alloc > 0)
+    p_counting = np.repeat(np.broadcast_to(p_counting, counts.shape), counts)
+    pattern = np.where(pattern_draws < p_counting, PATTERN_COUNTING, PATTERN_ALTERNATING)
 
-    pattern = np.where(rng.random(n) < p_counting, PATTERN_COUNTING, PATTERN_ALTERNATING)
-    return SessionTrack(
-        node=node,
-        starts=starts[keep],
-        ends=ends[keep],
-        alloc_mb=alloc[keep],
-        pattern=pattern[keep].astype(np.int8),
-        n_truncated=int(truncated.sum()),
-    )
+    # Per-node tallies from running sums over the block.
+    kept = np.concatenate([[0], np.cumsum(keep)])[bounds]
+    n_truncated = np.diff(np.concatenate([[0], np.cumsum(truncated)])[bounds])
+    starts, ends, alloc = starts[keep], ends[keep], alloc[keep]
+    pattern = pattern[keep].astype(np.int8)
+    return [
+        SessionTrack(
+            node=node,
+            starts=starts[lo:hi],
+            ends=ends[lo:hi],
+            alloc_mb=alloc[lo:hi],
+            pattern=pattern[lo:hi],
+            n_truncated=int(n),
+        )
+        for node, lo, hi, n in zip(nodes, kept[:-1], kept[1:], n_truncated)
+    ]

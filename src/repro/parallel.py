@@ -91,6 +91,42 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+#: Seconds between a pool worker's checks that its parent is still alive.
+PARENT_POLL_S = 0.2
+
+
+def _watch_parent(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_pool_worker(parent_pid: int, initializer, initargs: tuple) -> None:
+    """Pool worker initializer: exit once the parent is gone, then set up.
+
+    A worker whose parent was killed (SIGKILL leaves the pool no chance to
+    shut down) is reparented and would otherwise idle forever, holding
+    its memory; a daemon thread notices the new parent and exits.
+    """
+    threading.Thread(
+        target=_watch_parent, args=(parent_pid,), name="parent-watch", daemon=True
+    ).start()
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _process_pool(
+    workers: int, initializer: Callable[..., None] | None, initargs: Sequence[Any]
+) -> ProcessPoolExecutor:
+    """A process pool whose workers exit when this process dies."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=_mp_context(),
+        initializer=_init_pool_worker,
+        initargs=(os.getpid(), initializer, tuple(initargs)),
+    )
+
+
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
@@ -123,12 +159,7 @@ def parallel_map(
 
     # process backend
     chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_mp_context(),
-        initializer=initializer,
-        initargs=tuple(initargs),
-    ) as pool:
+    with _process_pool(workers, initializer, initargs) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
@@ -498,12 +529,7 @@ def _supervise_process(
     """
 
     def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_mp_context(),
-            initializer=initializer,
-            initargs=initargs,
-        )
+        return _process_pool(workers, initializer, initargs)
 
     pool = make_pool()
     inflight: dict[Future, tuple[_UnitState, float]] = {}

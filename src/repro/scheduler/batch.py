@@ -10,13 +10,15 @@ blade 33 loses its downtime, everyone else accumulates ~5000 hours.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..cluster.node import Node
 from ..cluster.registry import ClusterRegistry
 from ..core.rng import RngFactory
 from ..environment.calendar import AcademicCalendar
-from .jobs import ActivityConfig, DailyActivityGenerator, subtract_gaps
+from .jobs import ActivityConfig, DailyActivityGenerator, subtract_node_gaps
 
 
 class BatchScheduler:
@@ -40,11 +42,22 @@ class BatchScheduler:
                 self.calendar, activity, n_days=n_days
             )
 
-    def node_windows(self, node: Node) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` of one node's idle windows while powered on."""
-        if not node.scannable:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty.copy()
-        rng = self.rng_factory.fresh(f"scheduler/{node.node_id}")
-        starts, ends = self._generator.idle_windows(rng)
-        return subtract_gaps(starts, ends, node.off_intervals)
+    def node_windows(
+        self, nodes: Sequence[Node]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, ends, bounds)`` of a block of nodes' powered-on idle windows.
+
+        Node ``i``'s windows are ``starts[bounds[i]:bounds[i + 1]]``.  Nodes
+        that are not scannable get none and draw nothing; the others draw
+        their ``scheduler/<node>`` stream exactly as a one-node block would.
+        """
+        scanned = [i for i, node in enumerate(nodes) if node.scannable]
+        starts, ends, scanned_bounds = self._generator.idle_windows(
+            [self.rng_factory.fresh(f"scheduler/{nodes[i].node_id}") for i in scanned]
+        )
+        counts = np.zeros(len(nodes), dtype=np.int64)
+        counts[scanned] = np.diff(scanned_bounds)
+        bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        off = {i: node.off_intervals for i, node in enumerate(nodes) if node.off_intervals}
+        return subtract_node_gaps(starts, ends, bounds, off)

@@ -12,10 +12,12 @@ travel as sorted float64 ``(starts, ends)`` arrays, keeping the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..core import timeutils
+from ..core.errors import ConfigurationError
 from ..environment.calendar import AcademicCalendar
 
 
@@ -37,28 +39,51 @@ class ActivityConfig:
     #: Idle fraction above which zero-job days start appearing.
     zero_jobs_threshold: float = 0.60
 
+    def validate(self) -> None:
+        # A day with idle time always gets a window, so it needs a split
+        # draw; NumPy's poisson and normal reject negative parameters.
+        if self.max_windows < 1:
+            raise ConfigurationError("activity max_windows must be >= 1")
+        if not self.mean_windows >= 0.0:
+            raise ConfigurationError("activity mean_windows must be >= 0")
+        if not self.idle_jitter >= 0.0:
+            raise ConfigurationError("activity idle_jitter must be >= 0")
+
 
 def merge_touching(
-    starts: np.ndarray, ends: np.ndarray, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge windows that overlap or touch within ``tol``, sorted by start.
+    starts: np.ndarray, ends: np.ndarray, bounds, tol: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge windows that overlap or touch within ``tol``, segment by segment.
 
-    This is what lets vacation stretches become multi-day scan sessions
-    (full-idle days joining at midnight) — needed both for realism and
-    for the long counting-pattern sessions behind several Table I rows.
+    Segment ``i`` is ``starts[bounds[i]:bounds[i + 1]]`` (one node's
+    windows).  Each segment is sorted by start (stably) and merged on its
+    own; the merged windows come back with their own ``bounds``.  This is
+    what lets vacation stretches become multi-day scan sessions (full-idle
+    days joining at midnight) — needed both for realism and for the long
+    counting-pattern sessions behind several Table I rows.
     """
     starts = np.asarray(starts, dtype=np.float64)
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], np.asarray(ends, dtype=np.float64)[order]
-    if starts.shape[0] == 0:
-        return starts, ends
+    ends = np.asarray(ends, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    n = starts.shape[0]
+    segment = np.repeat(np.arange(bounds.shape[0] - 1), np.diff(bounds))
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = segment[1:] != segment[:-1]
+    # Sorting segments that are already sorted is the identity; skip it.
+    if np.any((starts[1:] < starts[:-1]) & ~opens[1:]):
+        order = np.lexsort((starts, segment))
+        starts, ends = starts[order], ends[order]
     # A window opens a new run unless it starts within ``tol`` of the
-    # furthest end seen so far.
-    reach = np.maximum.accumulate(ends)
-    opens = np.ones(starts.shape[0], dtype=bool)
-    opens[1:] = starts[1:] > reach[:-1] + tol
+    # furthest end seen so far in its segment.
+    reach = np.empty(n, dtype=np.float64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.maximum.accumulate(ends[lo:hi], out=reach[lo:hi])
+    opens[1:] |= starts[1:] > reach[:-1] + tol
     first = np.flatnonzero(opens)
-    return starts[first], reach[np.append(first[1:] - 1, starts.shape[0] - 1)]
+    last = np.append(first[1:] - 1, n - 1) if n else first
+    merged = np.zeros_like(bounds, dtype=np.int64)
+    np.cumsum(np.bincount(segment[first], minlength=bounds.shape[0] - 1), out=merged[1:])
+    return starts[first], reach[last], merged
 
 
 def subtract_gaps(
@@ -76,7 +101,7 @@ def subtract_gaps(
     ends = np.asarray(ends, dtype=np.float64)
     cuts = np.asarray(gaps, dtype=np.float64).reshape(-1, 2)
     # Touching gaps join: they leave no piece between them.
-    u0, u1 = merge_touching(cuts[:, 0], cuts[:, 1], tol=0.0)
+    u0, u1, _ = merge_touching(cuts[:, 0], cuts[:, 1], [0, cuts.shape[0]], tol=0.0)
     if u0.shape[0] == 0:
         keep = ends > starts
         return starts[keep], ends[keep]
@@ -94,8 +119,40 @@ def subtract_gaps(
     return piece_starts[keep], piece_ends[keep]
 
 
+def subtract_node_gaps(
+    starts: np.ndarray, ends: np.ndarray, bounds, gaps
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`subtract_gaps` over a block: ``gaps[i]`` cuts segment ``i`` only.
+
+    ``gaps`` maps segment indices to their ``(start, end)`` pairs; other
+    segments keep their windows.  Empty windows are dropped in every
+    segment, as :func:`subtract_gaps` drops them even with no gaps.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    counts = np.diff(bounds)
+    if gaps:
+        cut_starts, cut_ends = [], []
+        done = 0
+        for i in sorted(gaps):
+            lo, hi = int(bounds[i]), int(bounds[i + 1])
+            piece_starts, piece_ends = subtract_gaps(starts[lo:hi], ends[lo:hi], gaps[i])
+            cut_starts += [starts[done:lo], piece_starts]
+            cut_ends += [ends[done:lo], piece_ends]
+            counts[i] = piece_starts.shape[0]
+            done = hi
+        starts = np.concatenate(cut_starts + [starts[done:]])
+        ends = np.concatenate(cut_ends + [ends[done:]])
+    keep = ends > starts
+    segment = np.repeat(np.arange(counts.shape[0]), counts)
+    kept = np.zeros_like(bounds, dtype=np.int64)
+    np.cumsum(np.bincount(segment[keep], minlength=counts.shape[0]), out=kept[1:])
+    return starts[keep], ends[keep], kept
+
+
 class DailyActivityGenerator:
-    """Draws idle windows for one node across the whole study."""
+    """Draws idle windows across the whole study for blocks of nodes."""
 
     def __init__(
         self,
@@ -105,6 +162,7 @@ class DailyActivityGenerator:
     ):
         self.calendar = calendar
         self.config = config or ActivityConfig()
+        self.config.validate()
         self.n_days = int(n_days)
         cfg = self.config
         # Pure functions of the calendar: shared by every node.
@@ -118,8 +176,18 @@ class DailyActivityGenerator:
             1.0,
         )
 
-    def idle_windows(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` of every idle window of one node, by start.
+    def idle_windows(
+        self, rngs: Sequence[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, ends, bounds)`` of a block of nodes' idle windows.
+
+        ``rngs[i]`` is node ``i``'s stream, and its windows, sorted by
+        start, are ``starts[bounds[i]:bounds[i + 1]]``.  Each stream is
+        drawn as one node's always was: ``normal``, ``poisson``, then one
+        ``random`` call for the zero-job, split, gap and phase draws
+        (consecutive ``random`` calls yield the same doubles as one call
+        of their total size).  The block's node-days are then built as
+        one stack of rows.
 
         A day's split and gap proportions are normalised by the sum of
         exactly its ``k`` (and ``k + 1``) draws.  NumPy adds fewer than 8
@@ -128,37 +196,44 @@ class DailyActivityGenerator:
         that share a window count instead.
         """
         cfg = self.config
-        n_days, m = self.n_days, cfg.max_windows
-        jitter = rng.normal(0.0, cfg.idle_jitter, size=n_days)
-        idle_hours = np.clip((self._idle_frac + jitter) * 24.0, 0.0, 24.0)
-        n_windows = np.clip(rng.poisson(cfg.mean_windows, size=n_days), 0, m)
+        n_nodes, n_days, m = len(rngs), self.n_days, cfg.max_windows
+        jitter = np.empty((n_nodes, n_days), dtype=np.float64)
+        n_windows = np.empty((n_nodes, n_days), dtype=np.int64)
+        uniform = np.empty((n_nodes, n_days * (2 * m + 3)), dtype=np.float64)
+        for i, rng in enumerate(rngs):
+            jitter[i] = rng.normal(0.0, cfg.idle_jitter, size=n_days)
+            n_windows[i] = rng.poisson(cfg.mean_windows, size=n_days)
+            rng.random(out=uniform[i])
+        idle_hours = np.clip((self._idle_frac + jitter) * 24.0, 0.0, 24.0).reshape(-1)
+        n_windows = np.clip(n_windows.reshape(-1), 0, m)
         # A day with idle time gets at least one window.
         n_windows = np.where((idle_hours > 0.2) & (n_windows == 0), 1, n_windows)
         # Deep-vacation days may see no jobs at all: one full-day window.
-        zero_jobs = rng.random(n_days) < self._p_zero
-        # Pre-draw the split proportions for the maximum window count.
-        split_draws = rng.random(size=(n_days, m))
-        gap_draws = rng.random(size=(n_days, m + 1))
+        zero_jobs = (uniform[:, :n_days] < self._p_zero).reshape(-1)
+        # Split proportions for the maximum window count, then gap ones.
+        split_draws = uniform[:, n_days : n_days * (m + 1)].reshape(-1, m)
+        gap_draws = uniform[:, n_days * (m + 1) : n_days * (2 * m + 2)].reshape(-1, m + 1)
         # Each day's busy/idle layout is rotated by a uniform phase so
         # scanning coverage is flat in hour-of-day; without this, every
         # day starts with a job gap at midnight and coverage (hence
         # observed error counts, Fig 5) would show a spurious diurnal bell.
-        phase = rng.random(size=n_days) * 24.0
+        phase = uniform[:, n_days * (2 * m + 2) :].reshape(-1) * 24.0
 
+        rows = n_nodes * n_days
         k = np.where(zero_jobs | (idle_hours <= 0.0), 0, n_windows)
         w = split_draws + 0.25  # avoid degenerate slivers
         g = gap_draws + 0.10
-        w_sum = np.ones(n_days, dtype=np.float64)
-        g_sum = np.ones(n_days, dtype=np.float64)
+        w_sum = np.ones(rows, dtype=np.float64)
+        g_sum = np.ones(rows, dtype=np.float64)
         for count in np.unique(k[k > 0]):
-            rows = np.flatnonzero(k == count)
-            w_sum[rows] = w[rows, :count].sum(axis=1)
-            g_sum[rows] = g[rows, : count + 1].sum(axis=1)
+            days = np.flatnonzero(k == count)
+            w_sum[days] = w[days, :count].sum(axis=1)
+            g_sum[days] = g[days, : count + 1].sum(axis=1)
         # Each window's share of the idle budget, each gap's of the busy.
         w = (w / w_sum[:, None]) * idle_hours[:, None]
         g = (g / g_sum[:, None]) * (24.0 - idle_hours)[:, None]
         # Cursor walk gap, window, gap, ...: a running sum, left to right.
-        steps = np.empty((n_days, 2 * m), dtype=np.float64)
+        steps = np.empty((rows, 2 * m), dtype=np.float64)
         steps[:, 0::2] = g[:, :m]
         steps[:, 1::2] = w
         start = np.remainder(np.cumsum(steps, axis=1)[:, 0::2] + phase[:, None], 24.0)
@@ -166,23 +241,29 @@ class DailyActivityGenerator:
         fits = overflow <= 24.0
 
         # Window i of a day is piece 0, plus piece 1 when it wraps past
-        # midnight.  Flattening in (day, window, piece) order before the
-        # stable sort fixes the order of windows with equal starts.
-        t0 = self._day_start[:, None]
-        starts = np.empty((n_days, m, 2), dtype=np.float64)
-        ends = np.empty((n_days, m, 2), dtype=np.float64)
-        starts[:, :, 0] = t0 + start
-        ends[:, :, 0] = np.where(fits, starts[:, :, 0] + w, t0 + 24.0)
-        starts[:, :, 1] = t0
-        ends[:, :, 1] = t0 + (overflow - 24.0)
-        used = np.arange(m) < k[:, None]
-        keep = np.stack([used, used & ~fits], axis=2)
-        starts[zero_jobs, 0, 0] = self._day_start[zero_jobs]
-        ends[zero_jobs, 0, 0] = self._day_start[zero_jobs] + 24.0
-        keep[zero_jobs, 0, 0] = True
-        starts, ends = starts[keep], ends[keep]
-        order = np.argsort(starts, kind="stable")
-        return starts[order], ends[order]
+        # midnight: columns 2i and 2i + 1 of the day's row.
+        t0 = np.tile(self._day_start, n_nodes)[:, None]
+        starts = np.empty((rows, 2 * m), dtype=np.float64)
+        ends = np.empty((rows, 2 * m), dtype=np.float64)
+        keep = np.empty((rows, 2 * m), dtype=bool)
+        starts[:, 0::2] = t0 + start
+        ends[:, 0::2] = np.where(fits, starts[:, 0::2] + w, t0 + 24.0)
+        starts[:, 1::2] = t0
+        ends[:, 1::2] = t0 + (overflow - 24.0)
+        keep[:, 0::2] = np.arange(m) < k[:, None]
+        keep[:, 1::2] = keep[:, 0::2] & ~fits
+        starts[zero_jobs, 0] = t0[zero_jobs, 0]
+        ends[zero_jobs, 0] = t0[zero_jobs, 0] + 24.0
+        keep[zero_jobs, 0] = True
+        # Every piece starts inside its day [t0, t0 + 24], so sorting each
+        # day's row stably, unused slots last, then reading the rows in
+        # day order equals a stable sort of the node's windows by start.
+        order = np.argsort(np.where(keep, starts, np.inf), axis=1, kind="stable")
+        n_kept = keep.sum(axis=1)
+        picked = (order + 2 * m * np.arange(rows)[:, None])[np.arange(2 * m) < n_kept[:, None]]
+        bounds = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(n_kept.reshape(n_nodes, n_days).sum(axis=1), out=bounds[1:])
+        return starts.reshape(-1)[picked], ends.reshape(-1)[picked], bounds
 
     def expected_idle_hours(self) -> float:
         """Calendar-implied idle hours over the study (no jitter)."""

@@ -68,8 +68,9 @@ class TestOffIntervals:
         node = registry.get("01-01")
         assert node.role is NodeRole.LOGIN
         assert not node.scannable
-        starts, _ = BatchScheduler(registry, n_days=10).node_windows(node)
+        starts, _, bounds = BatchScheduler(registry, n_days=10).node_windows([node])
         assert starts.size == 0
+        assert bounds.tolist() == [0, 0]
 
     def test_dead_node_not_scannable(self):
         assert not make_node(NodeRole.DEAD).scannable

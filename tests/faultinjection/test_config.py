@@ -11,6 +11,7 @@ from repro.faultinjection.config import (
     paper_campaign_config,
     quick_campaign_config,
 )
+from repro.scheduler.jobs import ActivityConfig
 
 
 class TestPaperConfig:
@@ -72,4 +73,25 @@ class TestValidation:
     def test_bad_probability_rejected(self):
         config = dataclasses.replace(paper_campaign_config(), p_counting=1.5)
         with pytest.raises(ConfigurationError):
+            config.validate()
+
+    def test_no_windows_per_day_rejected(self):
+        config = dataclasses.replace(
+            quick_campaign_config(), activity=ActivityConfig(max_windows=0)
+        )
+        with pytest.raises(ConfigurationError, match="max_windows"):
+            config.validate()
+
+    def test_negative_mean_windows_rejected(self):
+        config = dataclasses.replace(
+            quick_campaign_config(), activity=ActivityConfig(mean_windows=-0.5)
+        )
+        with pytest.raises(ConfigurationError, match="mean_windows"):
+            config.validate()
+
+    def test_negative_idle_jitter_rejected(self):
+        config = dataclasses.replace(
+            quick_campaign_config(), activity=ActivityConfig(idle_jitter=-0.01)
+        )
+        with pytest.raises(ConfigurationError, match="idle_jitter"):
             config.validate()

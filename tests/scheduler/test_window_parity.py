@@ -5,6 +5,10 @@ per-day TB-hour split were per-window Python loops over ``IdleWindow``
 objects.  Copies of those loops live here as reference oracles (returning
 ``(start, end)`` tuples); the array path must match them bit for bit,
 compared as int64 views so that no rounding hides behind ``==``.
+
+The array path now runs a block of nodes at a time.  A copy of the
+one-node daemon pass is kept as the oracle for session tracks, and the
+block tests check that how nodes are split into blocks changes nothing.
 """
 
 from __future__ import annotations
@@ -12,11 +16,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from repro.cluster.registry import ClusterRegistry
 from repro.core import timeutils
 from repro.core.rng import RngFactory
+from repro.core.units import ALLOC_BACKOFF_MB, SCAN_TARGET_MB
 from repro.environment.calendar import AcademicCalendar
-from repro.faultinjection.sessions import SessionTrack
+from repro.faultinjection.campaign import _CampaignContext, _insert_pinned
+from repro.faultinjection.config import quick_campaign_config
+from repro.faultinjection.sessions import (
+    PATTERN_ALTERNATING,
+    PATTERN_COUNTING,
+    SessionTrack,
+)
 from repro.scheduler.batch import BatchScheduler
 from repro.scheduler.jobs import (
     ActivityConfig,
@@ -151,6 +164,36 @@ def oracle_merge_touching(windows, tol: float = 1e-9) -> list[tuple[float, float
     return merged
 
 
+def oracle_session_track(node: str, windows, rng, config, p_counting) -> SessionTrack:
+    """The one-node daemon pass the block pass replaced."""
+    merged = np.asarray(oracle_merge_touching(windows), dtype=np.float64).reshape(-1, 2)
+    starts, ends = merged[:, 0].copy(), merged[:, 1].copy()
+    n = starts.shape[0]
+    if n == 0:
+        return SessionTrack(
+            node, starts, ends, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+        )
+    u = rng.random(n)
+    fail = u < config.p_alloc_fail
+    leak = u < config.p_alloc_fail + (1.0 - config.p_full_alloc - config.p_alloc_fail)
+    leak_mb = rng.exponential(config.leak_mean_mb, size=n)
+    available = np.where(leak, SCAN_TARGET_MB - leak_mb, float(SCAN_TARGET_MB))
+    deficit = np.maximum(0.0, SCAN_TARGET_MB - available)
+    steps = np.ceil(deficit / ALLOC_BACKOFF_MB)
+    alloc = (SCAN_TARGET_MB - steps * ALLOC_BACKOFF_MB).astype(np.int64)
+    truncated = rng.random(n) < config.p_truncation
+    keep = (~fail) & (~truncated) & (alloc > 0)
+    pattern = np.where(rng.random(n) < p_counting, PATTERN_COUNTING, PATTERN_ALTERNATING)
+    return SessionTrack(
+        node=node,
+        starts=starts[keep],
+        ends=ends[keep],
+        alloc_mb=alloc[keep],
+        pattern=pattern[keep].astype(np.int8),
+        n_truncated=int(truncated.sum()),
+    )
+
+
 def oracle_daily_terabyte_hours(track: SessionTrack, n_days: int) -> np.ndarray:
     out = np.zeros(n_days, dtype=np.float64)
     for i in range(track.n_sessions):
@@ -172,6 +215,13 @@ def oracle_daily_terabyte_hours(track: SessionTrack, n_days: int) -> np.ndarray:
 
 def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+
+
+def one_node(block) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of a one-node block."""
+    starts, ends, bounds = block
+    assert bounds.tolist() == [0, starts.shape[0]]
+    return starts, ends
 
 
 def assert_windows_equal(arrays, oracle) -> None:
@@ -207,7 +257,7 @@ def test_window_chain_matches_loops(n_days, config_name):
     gen = DailyActivityGenerator(calendar, activity, n_days=n_days)
     for seed in range(N_SEEDS):
         assert_windows_equal(
-            gen.idle_windows(np.random.default_rng(seed)),
+            one_node(gen.idle_windows([np.random.default_rng(seed)])),
             oracle_idle_windows(gen, np.random.default_rng(seed)),
         )
 
@@ -216,7 +266,7 @@ def test_window_chain_matches_loops(n_days, config_name):
         scheduler = BatchScheduler(
             registry, calendar, activity, rng_factory=factory, n_days=n_days
         )
-        clipped = scheduler.node_windows(node)
+        clipped = one_node(scheduler.node_windows([node]))
         raw = oracle_idle_windows(gen, factory.fresh(f"scheduler/{node.node_id}"))
         expected = oracle_node_windows(raw, node.off_intervals)
         assert_windows_equal(clipped, expected)
@@ -226,7 +276,8 @@ def test_window_chain_matches_loops(n_days, config_name):
             clipped = subtract_gaps(*clipped, gaps)
             expected = oracle_subtract_gaps(expected, gaps)
             assert_windows_equal(clipped, expected)
-        assert_windows_equal(merge_touching(*clipped), oracle_merge_touching(expected))
+        merged = merge_touching(*clipped, [0, clipped[0].shape[0]])
+        assert_windows_equal(one_node(merged), oracle_merge_touching(expected))
 
 
 @pytest.mark.parametrize("n_days", N_DAYS)
@@ -259,3 +310,81 @@ def test_daily_terabyte_hours_matches_loop_on_campaign(quick_campaign):
             bits(track.daily_terabyte_hours(n_days)),
             bits(oracle_daily_terabyte_hours(track, n_days)),
         )
+
+
+# -- block passes ------------------------------------------------------------
+
+#: The quick campaign, and the same with up to seven windows a day.
+BLOCK_CONFIGS = {
+    "quick": quick_campaign_config(),
+    "seven-windows": replace(
+        quick_campaign_config(), activity=ActivityConfig(max_windows=7, mean_windows=5.0)
+    ),
+}
+
+
+def split_windows(ctx, names, size) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every node's scheduler windows, drawn in blocks of ``size`` nodes."""
+    out = {}
+    for lo in range(0, len(names), size):
+        block = names[lo : lo + size]
+        starts, ends, bounds = ctx.scheduler.node_windows([ctx.nodes_by_name[n] for n in block])
+        for i, name in enumerate(block):
+            out[name] = (starts[bounds[i] : bounds[i + 1]], ends[bounds[i] : bounds[i + 1]])
+    return out
+
+
+def split_tracks(ctx, names, size) -> dict[str, SessionTrack]:
+    """Every node's session track, built in blocks of ``size`` nodes."""
+    out = {}
+    for lo in range(0, len(names), size):
+        block = names[lo : lo + size]
+        out.update(zip(block, ctx._block_tracks(block)))
+    return out
+
+
+def assert_tracks_equal(got: SessionTrack, want: SessionTrack) -> None:
+    assert got.node == want.node
+    assert got.n_truncated == want.n_truncated
+    for a, b in (
+        (got.starts, want.starts),
+        (got.ends, want.ends),
+        (got.alloc_mb, want.alloc_mb),
+        (got.pattern, want.pattern),
+    ):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("config_name", sorted(BLOCK_CONFIGS))
+def test_block_split_changes_nothing(config_name):
+    """Blocks of 1, 7 and all nodes (and the campaign's own node-day
+    blocks) give every node the windows and track of the one-node loops."""
+    config = BLOCK_CONFIGS[config_name]
+    ctx = _CampaignContext(config)
+    names = list(ctx.nodes_by_name)
+    sizes = (1, 7, len(names))
+    windows = {size: split_windows(ctx, names, size) for size in sizes}
+    tracks = {size: split_tracks(ctx, names, size) for size in sizes}
+    tracks["campaign"] = ctx.tracks()
+    gen = DailyActivityGenerator(config.calendar, config.activity, n_days=config.n_days)
+    n_counting = 0
+    for name in names:
+        node = ctx.nodes_by_name[name]
+        raw = oracle_idle_windows(gen, ctx.rngs.fresh(f"scheduler/{node.node_id}"))
+        expected = oracle_node_windows(raw, node.off_intervals)
+        for size in sizes:
+            assert_windows_equal(windows[size][name], expected)
+        pinned = ctx.pinned.get(name, [])
+        expected = oracle_subtract_gaps(expected, ctx.gap_hours.get(name, []))
+        expected = oracle_subtract_gaps(expected, [p.pinned for p in pinned])
+        p_counting = 0.0 if name in ctx.reserved else config.p_counting
+        want = oracle_session_track(
+            name, expected, ctx.rngs.fresh(f"daemon/{name}"), config, p_counting
+        )
+        want = _insert_pinned(want, pinned)
+        for by_name in tracks.values():
+            assert_tracks_equal(by_name[name], want)
+        n_counting += int((want.pattern == PATTERN_COUNTING).sum())
+    assert n_counting > 0  # the per-node counting probability was exercised
+    assert ctx.pinned and any(ctx.gap_hours.values())  # and both extra cuts

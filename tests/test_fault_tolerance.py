@@ -675,6 +675,30 @@ class TestDegradedResultsStayOutOfTheCache:
         assert len(runner._ANALYSES) == 1
 
 
+def _session_alive(sid: int) -> list[int]:
+    """Pids of the live (not zombie) processes in session ``sid``."""
+    if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux
+        try:
+            os.killpg(sid, 0)
+        except ProcessLookupError:
+            return []
+        return [sid]
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state ppid pgrp session ...
+        fields = stat[stat.rindex(")") + 2 :].split()
+        if int(fields[3]) == sid and fields[0] not in ("Z", "X"):
+            alive.append(int(entry))
+    return alive
+
+
 _DRIVER_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[3])
@@ -708,15 +732,18 @@ class TestKillRecovery:
     def test_driver_sigkill_then_resume_is_bit_identical(
         self, quick_campaign, tmp_path
     ):
-        """SIGKILL the whole driver mid-campaign; resume must complete the
-        run bit-identically from whatever the journal made durable."""
+        """SIGKILL the whole driver mid-campaign; its pool workers must exit
+        too, and resume must complete the run bit-identically from whatever
+        the journal made durable."""
         ckpt = tmp_path / "ckpt"
         src = str(Path(__file__).resolve().parents[1] / "src")
         seed = quick_campaign.config.seed
+        # Its own session: every process the driver starts can be found.
         driver = subprocess.Popen(
             [sys.executable, "-c", _DRIVER_SCRIPT, str(ckpt), str(seed), src],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             journal_path = ckpt / "journal.bin"
@@ -730,7 +757,20 @@ class TestKillRecovery:
             else:
                 pytest.fail("journal never appeared")
             driver.send_signal(signal.SIGKILL)
+            driver.wait(timeout=60)
+            deadline = time.monotonic() + 20
+            while _session_alive(driver.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = _session_alive(driver.pid)
+            assert not survivors, f"processes outlived their killed driver: {survivors}"
         finally:
+            for pid in _session_alive(driver.pid):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            if driver.poll() is None:
+                driver.kill()
             driver.wait(timeout=60)
 
         journal = CampaignJournal(ckpt, config_digest(quick_campaign.config))
