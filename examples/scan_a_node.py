@@ -16,7 +16,7 @@ from repro.analysis.extraction import collapse_repeats
 from repro.analysis.simultaneity import group_simultaneous
 from repro.core import bitops
 from repro.dram import StuckCell, TransientFlip, WeakCell, make_device
-from repro.ecc import CHIPKILL_32, classify_word
+from repro.ecc import CHIPKILL_32, SECDED_32
 from repro.logs.format import format_record
 from repro.logs.frame import ErrorFrame
 from repro.scanner import AlternatingPattern, MemoryScanner, schedule_hook
@@ -77,7 +77,7 @@ def main() -> None:
     # What would protected hardware have done?
     print("\nprotection what-if per error:")
     for e in errors:
-        secded = classify_word(e.expected, e.actual).value
+        secded = SECDED_32.decode_flips(e.expected, e.flip_mask).outcome.name.lower()
         ck = CHIPKILL_32.decode_flips(e.expected, e.flip_mask).status.value
         print(
             f"  {e.n_bits}-bit at va=0x{e.virtual_address:x}: "

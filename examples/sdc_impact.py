@@ -23,7 +23,7 @@ from repro.apps import (
     bit_position_sweep,
     injection_time_sweep,
 )
-from repro.ecc import SecdedOutcome, classify_word
+from repro.ecc import SECDED_32, Outcome
 
 
 def main() -> None:
@@ -54,11 +54,11 @@ def main() -> None:
         "them out (impact is application- and phase-dependent)."
     )
 
-    outcome = classify_word(0xFFFFFFFF, 0xFFFFFFFF ^ (1 << 20))
-    assert outcome is SecdedOutcome.CORRECTED
+    outcome = SECDED_32.decode_flips(0xFFFFFFFF, 1 << 20).outcome
+    assert outcome is Outcome.CORRECTED
     print(
         "\nevery flip above reaches the application on the unprotected "
-        f"prototype; a SECDED DIMM corrects it ({outcome.value}) — the "
+        f"prototype; a SECDED DIMM corrects it ({outcome.name.lower()}) — the "
         "gap the paper's raw-error-rate measurements quantify."
     )
 

@@ -10,23 +10,16 @@ from .classify import (
     compare_schemes,
 )
 from .gf import GF16, GF2m
-from .hamming_batch import (
-    BatchSummary,
-    decode_flips_batch,
-    summarize,
-    syndromes,
-)
 from .hamming import (
     SECDED_32,
     SECDED_64,
     DecodeResult,
     DecodeStatus,
     HammingSecded,
+    Outcome,
 )
-from .secded import SecdedOutcome, classify_bulk, classify_word
 
 __all__ = [
-    "BatchSummary",
     "CHIPKILL_32",
     "ChipkillCode",
     "ChipkillSpec",
@@ -35,18 +28,13 @@ __all__ = [
     "GF16",
     "GF2m",
     "HammingSecded",
+    "Outcome",
     "ProtectionOutcome",
     "ProtectionSummary",
     "SECDED_32",
     "SECDED_64",
-    "SecdedOutcome",
-    "classify_bulk",
     "classify_chipkill",
     "classify_secded",
     "classify_unprotected",
-    "classify_word",
     "compare_schemes",
-    "decode_flips_batch",
-    "summarize",
-    "syndromes",
 ]

@@ -10,26 +10,14 @@ corruption?  (Sec III-C counts 76 double-bit "would be detected" cases and
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.events import MemoryError_
-from .chipkill import CHIPKILL_32, ChipkillCode
-from .secded import SecdedOutcome
-
-#: Kernel outcome codes -> the scheme-agnostic outcome enum.  The codes
-#: (0/1/2) are the stable contract of :mod:`repro.kernels.ecc`, which is
-#: imported lazily inside the classify functions: it imports this
-#: package's scalar codecs as its reference oracles, so a module-level
-#: import here would be circular.
-_CODE_TO_OUTCOME = {
-    0: SecdedOutcome.CORRECTED,
-    1: SecdedOutcome.DETECTED,
-    2: SecdedOutcome.SDC,
-}
+from .chipkill import CHIPKILL_32
+from .hamming import Outcome
 
 
 @dataclass(frozen=True)
@@ -37,11 +25,7 @@ class ProtectionOutcome:
     """Fate of one observed error under one protection scheme."""
 
     error: MemoryError_
-    outcome: SecdedOutcome
-
-    @property
-    def is_sdc(self) -> bool:
-        return self.outcome is SecdedOutcome.SDC
+    outcome: Outcome
 
 
 @dataclass
@@ -49,10 +33,16 @@ class ProtectionSummary:
     """Population-level counts for one scheme over an error stream."""
 
     scheme: str
-    corrected: int = 0
-    detected: int = 0
-    sdc: int = 0
-    outcomes: list[ProtectionOutcome] = field(default_factory=list, repr=False)
+    errors: Sequence[MemoryError_] = field(repr=False)
+    #: One :class:`Outcome` code per error, in stream order.
+    codes: np.ndarray = field(repr=False)
+    corrected: int = field(init=False)
+    detected: int = field(init=False)
+    sdc: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        counts = np.bincount(self.codes, minlength=len(Outcome))
+        self.corrected, self.detected, self.sdc = (int(n) for n in counts)
 
     @property
     def total(self) -> int:
@@ -62,20 +52,12 @@ class ProtectionSummary:
     def sdc_fraction(self) -> float:
         return self.sdc / self.total if self.total else 0.0
 
-    def add(self, outcome: ProtectionOutcome) -> None:
-        self.outcomes.append(outcome)
-        if outcome.outcome is SecdedOutcome.CORRECTED:
-            self.corrected += 1
-        elif outcome.outcome is SecdedOutcome.DETECTED:
-            self.detected += 1
-        else:
-            self.sdc += 1
-
-    def rows(self) -> list[tuple[str, int]]:
+    @property
+    def outcomes(self) -> list[ProtectionOutcome]:
+        """Each error paired with its outcome, in stream order."""
         return [
-            ("corrected", self.corrected),
-            ("detected", self.detected),
-            ("sdc", self.sdc),
+            ProtectionOutcome(err, Outcome(code))
+            for err, code in zip(self.errors, self.codes.tolist())
         ]
 
 
@@ -96,21 +78,17 @@ def classify_secded(errors: Iterable[MemoryError_]) -> ProtectionSummary:
 
     The whole population decodes in one dispatched
     :data:`repro.kernels.ecc.secded_classify` call (matrix-at-once
-    syndromes); outcomes attach back to the errors in stream order.
+    syndromes).  The kernel module is imported here, not at module
+    level: it imports this package's codecs as its reference oracles.
     """
     from ..kernels import ecc as _kernels
 
     errors = list(errors)
-    summary = ProtectionSummary("secded-32")
-    expected, actual = _word_arrays(errors)
-    for err, code in zip(errors, _kernels.secded_classify(expected, actual)):
-        summary.add(ProtectionOutcome(err, _CODE_TO_OUTCOME[int(code)]))
-    return summary
+    codes = _kernels.secded_classify(*_word_arrays(errors))
+    return ProtectionSummary("secded-32", errors, codes)
 
 
-def classify_chipkill(
-    errors: Iterable[MemoryError_], code: ChipkillCode = CHIPKILL_32
-) -> ProtectionSummary:
+def classify_chipkill(errors: Iterable[MemoryError_]) -> ProtectionSummary:
     """Replay an error stream through the chipkill SSC-DSD codec.
 
     One dispatched :data:`repro.kernels.ecc.chipkill_classify` call
@@ -119,25 +97,17 @@ def classify_chipkill(
     from ..kernels import ecc as _kernels
 
     errors = list(errors)
-    summary = ProtectionSummary(f"chipkill-{code.spec.symbol_bits}b")
-    expected, actual = _word_arrays(errors)
-    outcomes = _kernels.chipkill_classify(expected, actual, code)
-    for err, outcome_code in zip(errors, outcomes):
-        summary.add(ProtectionOutcome(err, _CODE_TO_OUTCOME[int(outcome_code)]))
-    return summary
+    codes = _kernels.chipkill_classify(*_word_arrays(errors))
+    return ProtectionSummary(
+        f"chipkill-{CHIPKILL_32.spec.symbol_bits}b", errors, codes
+    )
 
 
 def classify_unprotected(errors: Iterable[MemoryError_]) -> ProtectionSummary:
     """The prototype's reality: every corruption reaches the application."""
-    summary = ProtectionSummary("none")
-    for err in errors:
-        summary.add(ProtectionOutcome(err, SecdedOutcome.SDC))
-    return summary
-
-
-def outcome_counter(summary: ProtectionSummary) -> Counter:
-    """Counter of outcome kinds (convenience for tests and benches)."""
-    return Counter(o.outcome for o in summary.outcomes)
+    errors = list(errors)
+    codes = np.full(len(errors), Outcome.SDC, dtype=np.int8)
+    return ProtectionSummary("none", errors, codes)
 
 
 def compare_schemes(

@@ -20,7 +20,7 @@ ECC *would have* done — the paper's Sec III-C/III-D what-if analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -35,6 +35,18 @@ class DecodeStatus(str, Enum):
     UNDETECTED = "undetected"       # >2-bit error aliased to a codeword
 
 
+class Outcome(IntEnum):
+    """What a protected system reports for one corrupted word.
+
+    The values are the outcome codes the :mod:`repro.kernels.ecc`
+    classification kernels return.
+    """
+
+    CORRECTED = 0   # fixed transparently
+    DETECTED = 1    # uncorrectable, flagged (machine check / crash)
+    SDC = 2         # wrong data handed to the application silently
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     status: DecodeStatus
@@ -46,6 +58,15 @@ class DecodeResult:
     def is_sdc(self) -> bool:
         """Whether the outcome silently hands wrong data to the application."""
         return self.status in (DecodeStatus.MISCORRECTED, DecodeStatus.UNDETECTED)
+
+    @property
+    def outcome(self) -> Outcome:
+        """The system-level outcome of this decode."""
+        if self.is_sdc:
+            return Outcome.SDC
+        if self.status is DecodeStatus.DETECTED:
+            return Outcome.DETECTED
+        return Outcome.CORRECTED
 
 
 class HammingSecded:

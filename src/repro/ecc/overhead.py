@@ -10,12 +10,13 @@ prints.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.events import MemoryError_
 from .chipkill import ChipkillCode, ChipkillSpec
-from .hamming import SECDED_32, SECDED_64, DecodeStatus
+from .hamming import SECDED_32, SECDED_64, DecodeResult, DecodeStatus, Outcome
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class SchemeSpec:
     name: str
     data_bits: int
     total_bits: int
-    #: (data word, flip mask) -> DecodeStatus-like result with .status.
-    decode_flips: Callable
+    #: (data word, flip mask) -> :class:`DecodeResult`.
+    decode_flips: Callable[[int, int], DecodeResult]
 
     @property
     def overhead(self) -> float:
@@ -34,12 +35,8 @@ class SchemeSpec:
         return (self.total_bits - self.data_bits) / self.data_bits
 
 
-def _unprotected_decode(data: int, mask: int):
-    class _Result:
-        status = DecodeStatus.UNDETECTED
-        is_sdc = True
-
-    return _Result()
+def _unprotected_decode(data: int, mask: int) -> DecodeResult:
+    return DecodeResult(DecodeStatus.UNDETECTED, data ^ mask)
 
 
 def standard_schemes() -> list[SchemeSpec]:
@@ -107,26 +104,21 @@ def tradeoff_table(
     corrupted word occupies the low half of the codeword's data (the
     flips stay identical, so outcomes are comparable).
     """
-    schemes = schemes or standard_schemes()
+    if any(err.flip_mask == 0 for err in errors):
+        raise ValueError("rows without corruption cannot be classified")
     rows = []
-    for spec in schemes:
-        corrected = detected = sdc = 0
-        for err in errors:
-            result = spec.decode_flips(err.expected, err.flip_mask)
-            status = result.status
-            if status in (DecodeStatus.CORRECTED, DecodeStatus.CLEAN):
-                corrected += 1
-            elif status is DecodeStatus.DETECTED:
-                detected += 1
-            else:
-                sdc += 1
+    for spec in schemes or standard_schemes():
+        counts = Counter(
+            spec.decode_flips(err.expected, err.flip_mask).outcome
+            for err in errors
+        )
         rows.append(
             TradeoffRow(
                 scheme=spec.name,
                 overhead=spec.overhead,
-                corrected=corrected,
-                detected=detected,
-                sdc=sdc,
+                corrected=counts[Outcome.CORRECTED],
+                detected=counts[Outcome.DETECTED],
+                sdc=counts[Outcome.SDC],
             )
         )
     return rows

@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..analysis import spatial
 from ..analysis.report import StudyAnalysis
 from ..cluster.topology import NodeId
 from ..core import bitops, timeutils
-from ..ecc import SecdedOutcome, classify_word
+from ..ecc import SECDED_32, Outcome
 from .base import ExperimentResult, register
 
 
 @register("sec3d_undetectable")
 def sec3d_undetectable(analysis: StudyAnalysis) -> ExperimentResult:
     """Sec III-D: the isolated >3-bit (SECDED-escaping) faults."""
-    undetectable = [e for e in analysis.errors if e.n_bits > 3]
+    undetectable = sorted(
+        (e for e in analysis.errors if e.n_bits > 3),
+        key=lambda e: e.first_seen_hours,
+    )
+    outcomes = [
+        SECDED_32.decode_flips(e.expected, e.flip_mask).outcome
+        for e in undetectable
+    ]
     counts = analysis.errors_by_node
     rows = []
-    for e in sorted(undetectable, key=lambda e: e.first_seen_hours):
+    for e, secded in zip(undetectable, outcomes):
         node_id = NodeId.parse(e.node)
-        secded = classify_word(e.expected, e.actual)
         rows.append(
             (
                 str(timeutils.date_of(e.first_seen_hours)),
@@ -29,17 +37,13 @@ def sec3d_undetectable(analysis: StudyAnalysis) -> ExperimentResult:
                 "yes" if node_id.near_overheating_slot else "no",
                 counts.get(e.node, 0),
                 "no" if e.temperature_c is None else f"{e.temperature_c:.0f}C",
-                secded.value,
+                secded.name.lower(),
             )
         )
     hosts = {e.node for e in undetectable}
     lonely = sum(1 for e in undetectable if counts.get(e.node, 0) == 1)
     near = sum(1 for h in hosts if NodeId.parse(h).near_overheating_slot)
-    sdc = sum(
-        1
-        for e in undetectable
-        if classify_word(e.expected, e.actual) is SecdedOutcome.SDC
-    )
+    sdc = outcomes.count(Outcome.SDC)
     result = ExperimentResult(
         exp_id="sec3d_undetectable",
         title="Undetectable (>3-bit) errors: isolation analysis",
@@ -80,14 +84,14 @@ def sec1_exascale_projection(analysis: StudyAnalysis) -> ExperimentResult:
         paper_processor_example,
         project,
     )
-    from ..ecc import SecdedOutcome, classify_bulk
+    from ..kernels.ecc import secded_classify
     from ..resilience import table2
 
     frame = analysis.frame.exclude_nodes(
         [analysis.campaign.config.degrading.node]
     )
-    outcomes = classify_bulk(frame.expected, frame.actual)
-    n_detected = int(sum(1 for o in outcomes if o is SecdedOutcome.DETECTED))
+    codes = secded_classify(frame.expected, frame.actual)
+    n_detected = int(np.count_nonzero(codes == Outcome.DETECTED))
     q30 = table2(analysis.frame, analysis.campaign.study_hours)[-1]
     rates = measured_rates(
         n_errors_raw=len(frame),
@@ -257,13 +261,13 @@ def whatif_ecc_campaign(analysis: StudyAnalysis) -> ExperimentResult:
     is the translation layer between this study's raw numbers and every
     prior ECC-counter-based field study the paper contrasts itself with.
     """
-    from ..ecc import SecdedOutcome, classify_bulk
+    from ..kernels.ecc import secded_classify
 
     frame = analysis.frame
-    outcomes = classify_bulk(frame.expected, frame.actual)
-    corrected = int(sum(1 for o in outcomes if o is SecdedOutcome.CORRECTED))
-    detected = int(sum(1 for o in outcomes if o is SecdedOutcome.DETECTED))
-    sdc = int(sum(1 for o in outcomes if o is SecdedOutcome.SDC))
+    codes = secded_classify(frame.expected, frame.actual)
+    corrected, detected, sdc = (
+        int(n) for n in np.bincount(codes, minlength=len(Outcome))
+    )
     study_hours = analysis.campaign.study_hours
     rows = [
         ("ECC corrections (invisible to users)", corrected),

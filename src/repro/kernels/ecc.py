@@ -13,25 +13,19 @@ nibbles: ``s0 = xor(f_i)``, ``s1 = xor(f_i * alpha^i)``,
 ``s2 = xor(f_i * alpha^{2i})`` — all computed with the vectorized
 GF(16) table arithmetic, replacing the per-word encode/decode replay.
 
-Each kernel keeps the scalar codec loop it replaced as its reference
-oracle; outcome codes are shared with :mod:`repro.ecc.hamming_batch`
-(``CORRECTED=0, DETECTED=1, SDC=2``).
+The reference oracle of each classification kernel is the scalar
+codec itself: ``SECDED_32``/``CHIPKILL_32.decode_flips(...).outcome``
+word by word.  Both return :class:`~repro.ecc.hamming.Outcome` codes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ecc.chipkill import CHIPKILL_32, ChipkillCode
+from ..ecc.chipkill import CHIPKILL_32
 from ..ecc.gf import GF16
-from ..ecc.hamming import SECDED_32, DecodeStatus
-from ..ecc.secded import SecdedOutcome, classify_word
+from ..ecc.hamming import SECDED_32, Outcome
 from .dispatch import register_kernel
-
-#: Outcome codes (identical to ``repro.ecc.hamming_batch``'s constants).
-CORRECTED = 0
-DETECTED = 1
-SDC = 2
 
 _WORD_MASK = 0xFFFFFFFF
 
@@ -88,6 +82,26 @@ def _as_u64(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.uint64)
 
 
+def _flip_masks(expected: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Data-word flip masks; every row must carry a corruption."""
+    masks = np.bitwise_and(
+        np.bitwise_xor(_as_u64(expected), _as_u64(actual)), np.uint64(_WORD_MASK)
+    )
+    if np.any(masks == 0):
+        raise ValueError("rows without corruption cannot be classified")
+    return masks
+
+
+def _codec_replay(codec, expected: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Outcome codes from a scalar codec's per-word ``decode_flips``."""
+    masks = _flip_masks(expected, actual)
+    data = np.bitwise_and(_as_u64(expected), np.uint64(_WORD_MASK))
+    out = np.empty(masks.shape[0], dtype=np.int8)
+    for i in range(masks.shape[0]):
+        out[i] = codec.decode_flips(int(data[i]), int(masks[i])).outcome
+    return out
+
+
 # ---------------------------------------------------------------------------
 # SECDED syndromes
 # ---------------------------------------------------------------------------
@@ -122,26 +136,11 @@ secded_syndromes = register_kernel(
 # SECDED classification
 # ---------------------------------------------------------------------------
 
-_OUTCOME_TO_CODE = {
-    SecdedOutcome.CORRECTED: CORRECTED,
-    SecdedOutcome.DETECTED: DETECTED,
-    SecdedOutcome.SDC: SDC,
-}
-
-
 def _secded_classify_reference(
     expected: np.ndarray, actual: np.ndarray
 ) -> np.ndarray:
-    """The per-word scalar path: popcount fast cases + codec replay."""
-    exp = _as_u64(expected)
-    act = _as_u64(actual)
-    if np.any(np.bitwise_and(np.bitwise_xor(exp, act), np.uint64(_WORD_MASK)) == 0):
-        raise ValueError("rows without corruption cannot be classified")
-    out = np.empty(exp.shape[0], dtype=np.int8)
-    for i in range(exp.shape[0]):
-        outcome = classify_word(int(exp[i]) & _WORD_MASK, int(act[i]) & _WORD_MASK)
-        out[i] = _OUTCOME_TO_CODE[outcome]
-    return out
+    """Per-word replay through the scalar (39,32) SECDED codec."""
+    return _codec_replay(SECDED_32, expected, actual)
 
 
 def _secded_classify_vectorized(
@@ -155,11 +154,7 @@ def _secded_classify_vectorized(
     matrix product plus table lookups, mirroring
     :meth:`HammingSecded.decode_flips` case by case.
     """
-    exp = _as_u64(expected)
-    act = _as_u64(actual)
-    masks = np.bitwise_and(np.bitwise_xor(exp, act), np.uint64(_WORD_MASK))
-    if np.any(masks == 0):
-        raise ValueError("rows without corruption cannot be classified")
+    masks = _flip_masks(expected, actual)
     n_flipped = _popcount64(masks)
     syndrome = _secded_syndromes_vectorized(masks).astype(np.int64) @ _SYN_WEIGHTS
 
@@ -168,10 +163,10 @@ def _secded_classify_vectorized(
     even = ~parity_odd
     # Even flips: nonzero syndrome is the DED guarantee (detected);
     # zero syndrome aliases to a valid codeword (silent corruption).
-    out[even & (syndrome != 0)] = DETECTED
-    out[even & (syndrome == 0)] = SDC
+    out[even & (syndrome != 0)] = Outcome.DETECTED
+    out[even & (syndrome == 0)] = Outcome.SDC
     single = parity_odd & (n_flipped == 1)
-    out[single] = CORRECTED
+    out[single] = Outcome.CORRECTED
     multi_odd = parity_odd & (n_flipped > 1)
     if np.any(multi_odd):
         syn = syndrome[multi_odd]
@@ -182,9 +177,9 @@ def _secded_classify_vectorized(
         # Any "correction" of a >1-flip pattern restores the wrong word
         # (miscorrection, an SDC); out-of-range syndromes are detected.
         codes = np.where(
-            zero_syndrome | points_at_data | is_check, SDC, DETECTED
+            zero_syndrome | points_at_data | is_check, Outcome.SDC, Outcome.DETECTED
         )
-        codes = np.where(~in_range, DETECTED, codes)
+        codes = np.where(~in_range, Outcome.DETECTED, codes)
         out[multi_odd] = codes.astype(np.int8)
     return out
 
@@ -199,16 +194,6 @@ secded_classify = register_kernel(
 # ---------------------------------------------------------------------------
 # Chipkill classification
 # ---------------------------------------------------------------------------
-
-_STATUS_TO_CODE = {
-    DecodeStatus.CORRECTED: CORRECTED,
-    DecodeStatus.DETECTED: DETECTED,
-    DecodeStatus.MISCORRECTED: SDC,
-    DecodeStatus.UNDETECTED: SDC,
-    # A nonzero data flip always changes the data, so CLEAN is refined
-    # away by decode_flips; keep the honest mapping anyway.
-    DecodeStatus.CLEAN: SDC,
-}
 
 _N_DATA_SYMBOLS = CHIPKILL_32.spec.n_data_symbols
 _SYMBOL_BITS = CHIPKILL_32.spec.symbol_bits
@@ -229,23 +214,14 @@ _ALPHA_2I = np.asarray(
 
 
 def _chipkill_classify_reference(
-    expected: np.ndarray, actual: np.ndarray, code: ChipkillCode = CHIPKILL_32
+    expected: np.ndarray, actual: np.ndarray
 ) -> np.ndarray:
     """Per-word encode/decode replay through the scalar symbol codec."""
-    exp = _as_u64(expected)
-    act = _as_u64(actual)
-    masks = np.bitwise_and(np.bitwise_xor(exp, act), np.uint64(_WORD_MASK))
-    if np.any(masks == 0):
-        raise ValueError("rows without corruption cannot be classified")
-    out = np.empty(exp.shape[0], dtype=np.int8)
-    for i in range(exp.shape[0]):
-        result = code.decode_flips(int(exp[i]) & _WORD_MASK, int(masks[i]))
-        out[i] = _STATUS_TO_CODE[result.status]
-    return out
+    return _codec_replay(CHIPKILL_32, expected, actual)
 
 
 def _chipkill_classify_vectorized(
-    expected: np.ndarray, actual: np.ndarray, code: ChipkillCode = CHIPKILL_32
+    expected: np.ndarray, actual: np.ndarray
 ) -> np.ndarray:
     """Whole-population chipkill outcomes from symbol syndromes.
 
@@ -257,14 +233,7 @@ def _chipkill_classify_vectorized(
     one nonzero syndrome -> a "check symbol correction" that hands over
     corrupt data (SDC); anything else -> DETECTED.
     """
-    if code is not CHIPKILL_32:
-        return _chipkill_classify_reference(expected, actual, code)
-    exp = _as_u64(expected)
-    act = _as_u64(actual)
-    masks = np.bitwise_and(np.bitwise_xor(exp, act), np.uint64(_WORD_MASK))
-    if np.any(masks == 0):
-        raise ValueError("rows without corruption cannot be classified")
-
+    masks = _flip_masks(expected, actual)
     flips = (
         np.bitwise_and(masks[:, None] >> _SYMBOL_SHIFTS[None, :], _SYMBOL_MASK)
     ).astype(np.int64)
@@ -273,14 +242,14 @@ def _chipkill_classify_vectorized(
     s1 = np.bitwise_xor.reduce(GF16.mul(flips, _ALPHA_I[None, :]), axis=1)
     s2 = np.bitwise_xor.reduce(GF16.mul(flips, _ALPHA_2I[None, :]), axis=1)
 
-    out = np.full(masks.shape[0], DETECTED, dtype=np.int8)
+    out = np.full(masks.shape[0], Outcome.DETECTED, dtype=np.int8)
     nonzero = (
         (s0 != 0).astype(np.int64)
         + (s1 != 0).astype(np.int64)
         + (s2 != 0).astype(np.int64)
     )
-    out[nonzero == 0] = SDC
-    out[nonzero == 1] = SDC
+    out[nonzero == 0] = Outcome.SDC
+    out[nonzero == 1] = Outcome.SDC
 
     all_nonzero = nonzero == 3
     # Safe substitutes keep the table lookups total; results are only
@@ -290,10 +259,10 @@ def _chipkill_classify_vectorized(
     consistent = all_nonzero & (ratio1 == ratio2)
     locator = GF16.log_alpha(np.where(consistent, ratio1, 1))
     looks_single = consistent & (locator < _N_DATA_SYMBOLS)
-    out[looks_single & (n_symbols == 1)] = CORRECTED
+    out[looks_single & (n_symbols == 1)] = Outcome.CORRECTED
     # A multi-symbol pattern whose syndromes mimic a single-symbol error
     # gets "corrected" into the wrong word: miscorrection.
-    out[looks_single & (n_symbols > 1)] = SDC
+    out[looks_single & (n_symbols > 1)] = Outcome.SDC
     return out
 
 

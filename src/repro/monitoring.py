@@ -22,7 +22,7 @@ from typing import Iterator
 from .core.records import ErrorRecord, LogRecord, RecordKind
 from .logs.format import parse_line
 from .logs.frame import ErrorFrame
-from .resilience.prediction import PredictorConfig
+from .resilience.prediction import AlarmRule, PredictorConfig
 
 
 class LogFollower:
@@ -124,8 +124,7 @@ class OnlineMonitor:
         self.config = predictor_config or PredictorConfig()
         self.quarantine_days = quarantine_days
         self.state = MonitorState()
-        self._recent: dict[str, list[float]] = {}
-        self._alarmed_until: dict[str, float] = {}
+        self._rule = AlarmRule(self.config)
 
     def ingest(self, records: list[LogRecord]) -> list[Advice]:
         """Feed new records; return any advice triggered by them."""
@@ -141,40 +140,32 @@ class OnlineMonitor:
             self.state.errors_by_node[node] = (
                 self.state.errors_by_node.get(node, 0) + 1
             )
-            if t < self._alarmed_until.get(node, float("-inf")):
+            if self._rule.alarmed(node, t) or not self._rule.record(node, t):
                 continue
-            window = self._recent.setdefault(node, [])
-            window.append(t)
-            cutoff = t - self.config.window_hours
-            while window and window[0] < cutoff:
-                window.pop(0)
-            if len(window) > self.config.trigger_count:
-                self._alarmed_until[node] = t + self.config.horizon_hours
-                self.state.n_alarms += 1
-                window.clear()
-                advice.append(
-                    Advice(
-                        time_hours=t,
-                        node=node,
-                        kind="quarantine",
-                        reason=(
-                            f"more than {self.config.trigger_count} errors "
-                            f"within {self.config.window_hours:.0f}h: "
-                            f"quarantine for {self.quarantine_days:.0f} days"
-                        ),
-                    )
+            self.state.n_alarms += 1
+            advice.append(
+                Advice(
+                    time_hours=t,
+                    node=node,
+                    kind="quarantine",
+                    reason=(
+                        f"more than {self.config.trigger_count} errors "
+                        f"within {self.config.window_hours:.0f}h: "
+                        f"quarantine for {self.quarantine_days:.0f} days"
+                    ),
                 )
-                advice.append(
-                    Advice(
-                        time_hours=t,
-                        node=node,
-                        kind="tighten-checkpoints",
-                        reason=(
-                            "degraded regime on this node: shorten the "
-                            "checkpoint interval until the alarm clears"
-                        ),
-                    )
+            )
+            advice.append(
+                Advice(
+                    time_hours=t,
+                    node=node,
+                    kind="tighten-checkpoints",
+                    reason=(
+                        "degraded regime on this node: shorten the "
+                        "checkpoint interval until the alarm clears"
+                    ),
                 )
+            )
         return advice
 
 

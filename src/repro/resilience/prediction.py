@@ -15,6 +15,7 @@ could have mitigated), and the lead time from alarm to storm peak.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,41 @@ class PredictionReport:
         return self.n_errors_in_alarms / self.n_errors_total
 
 
+class AlarmRule:
+    """The alarm state machine, fed one error at a time in time order.
+
+    Per node it keeps the error times of the last ``window_hours`` in a
+    deque; the error that takes the count past ``trigger_count`` raises
+    an alarm, which stays active for ``horizon_hours``.  Errors inside an
+    active alarm never enter the window, and raising an alarm empties it.
+    Batch replay (:class:`SpatioTemporalPredictor`) and the live monitor
+    (:class:`repro.monitoring.OnlineMonitor`) both drive this one rule.
+    """
+
+    def __init__(self, config: PredictorConfig):
+        self.config = config
+        self._recent: dict[Hashable, deque[float]] = defaultdict(deque)
+        self._alarmed_until: dict[Hashable, float] = {}
+
+    def alarmed(self, node: Hashable, t: float) -> bool:
+        """Whether ``node`` has an alarm active at time ``t``."""
+        return t < self._alarmed_until.get(node, -np.inf)
+
+    def record(self, node: Hashable, t: float) -> bool:
+        """Count an error that struck outside an active alarm; return
+        whether it raises a new one."""
+        window = self._recent[node]
+        window.append(t)
+        cutoff = t - self.config.window_hours
+        while window[0] < cutoff:
+            window.popleft()
+        if len(window) <= self.config.trigger_count:
+            return False
+        self._alarmed_until[node] = t + self.config.horizon_hours
+        window.clear()
+        return True
+
+
 class SpatioTemporalPredictor:
     """Replay an error stream through the alarm policy."""
 
@@ -90,34 +126,23 @@ class SpatioTemporalPredictor:
         self.config = config or PredictorConfig()
 
     def run(self, frame: ErrorFrame) -> PredictionReport:
-        cfg = self.config
         order = np.argsort(frame.time_hours, kind="stable")
-        times = frame.time_hours[order]
-        nodes = frame.node_code[order]
-
-        recent: dict[int, deque] = defaultdict(deque)
-        alarm_until: dict[int, float] = defaultdict(lambda: -np.inf)
+        times = frame.time_hours[order].tolist()
+        nodes = frame.node_code[order].tolist()
+        rule = AlarmRule(self.config)
         alarm_counts: list[int] = []
         alarm_meta: list[tuple[int, float]] = []
         open_alarm: dict[int, int] = {}
-        report = PredictionReport(config=cfg, n_errors_total=int(times.shape[0]))
+        report = PredictionReport(config=self.config, n_errors_total=len(times))
 
         for t, node in zip(times, nodes):
-            node = int(node)
-            if t < alarm_until[node]:
+            if rule.alarmed(node, t):
                 report.n_errors_in_alarms += 1
                 alarm_counts[open_alarm[node]] += 1
-                continue
-            window = recent[node]
-            window.append(t)
-            while window and window[0] < t - cfg.window_hours:
-                window.popleft()
-            if len(window) > cfg.trigger_count:
-                alarm_until[node] = t + cfg.horizon_hours
+            elif rule.record(node, t):
                 open_alarm[node] = len(alarm_counts)
                 alarm_counts.append(0)
-                alarm_meta.append((node, float(t)))
-                window.clear()
+                alarm_meta.append((node, t))
 
         for (node, t), count in zip(alarm_meta, alarm_counts):
             report.alarms.append(

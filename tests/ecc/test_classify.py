@@ -1,18 +1,17 @@
-"""Error-population classification tests (secded fast path + schemes)."""
+"""Error-population classification tests (secded kernel + schemes)."""
 
 import numpy as np
 import pytest
 
 from repro.core.events import MemoryError_
 from repro.ecc import (
-    SecdedOutcome,
-    classify_bulk,
+    Outcome,
     classify_chipkill,
     classify_secded,
     classify_unprotected,
-    classify_word,
     compare_schemes,
 )
+from repro.kernels.ecc import secded_classify
 
 
 def err(expected, actual, node="01-01", t=1.0):
@@ -27,33 +26,41 @@ def err(expected, actual, node="01-01", t=1.0):
     )
 
 
+def secded_outcome(expected, actual):
+    """The SECDED outcome of one word through the dispatched kernel."""
+    codes = secded_classify(
+        np.array([expected], dtype=np.uint64), np.array([actual], dtype=np.uint64)
+    )
+    return Outcome(codes[0])
+
+
 class TestClassifyWord:
     def test_single_corrected(self):
-        assert classify_word(0xFFFFFFFF, 0xFFFFFFFE) is SecdedOutcome.CORRECTED
+        assert secded_outcome(0xFFFFFFFF, 0xFFFFFFFE) is Outcome.CORRECTED
 
     def test_double_detected(self):
-        assert classify_word(0xFFFFFFFF, 0xFFFF7BFF) is SecdedOutcome.DETECTED
+        assert secded_outcome(0xFFFFFFFF, 0xFFFF7BFF) is Outcome.DETECTED
 
     def test_nine_bit_sdc(self):
-        assert classify_word(0x00000058, 0xE6006358) is SecdedOutcome.SDC
+        assert secded_outcome(0x00000058, 0xE6006358) is Outcome.SDC
 
     def test_no_corruption_rejected(self):
         with pytest.raises(ValueError):
-            classify_word(5, 5)
+            secded_outcome(5, 5)
 
 
 class TestClassifyBulk:
     def test_mixed_population(self):
         expected = np.array([0xFFFFFFFF, 0xFFFFFFFF, 0x58], dtype=np.uint64)
         actual = np.array([0xFFFFFFFE, 0xFFFF7BFF, 0xE6006358], dtype=np.uint64)
-        out = classify_bulk(expected, actual)
-        assert out[0] is SecdedOutcome.CORRECTED
-        assert out[1] is SecdedOutcome.DETECTED
-        assert out[2] is SecdedOutcome.SDC
+        out = secded_classify(expected, actual)
+        assert out[0] == Outcome.CORRECTED
+        assert out[1] == Outcome.DETECTED
+        assert out[2] == Outcome.SDC
 
     def test_rejects_clean_rows(self):
         with pytest.raises(ValueError):
-            classify_bulk(np.array([1]), np.array([1]))
+            secded_classify(np.array([1]), np.array([1]))
 
 
 class TestSchemes:

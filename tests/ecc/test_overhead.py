@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.events import MemoryError_
+from repro.ecc.classify import compare_schemes
 from repro.ecc.overhead import dominating_schemes, standard_schemes, tradeoff_table
 from repro.faultinjection.catalogue import TABLE_I
 
@@ -39,6 +40,14 @@ class TestTradeoff:
         assert rows["chipkill x4 (32b)"].sdc == 0
         # x8 symbols swallow most Table I masks whole.
         assert rows["chipkill x8 (64b)"].corrected >= 80
+
+    def test_uncorrupted_word_rejected(self):
+        """A word with no flipped bit has no outcome under any scheme."""
+        population = catalogue_errors() + [MemoryError_("x", 0.0, 0.0, 0, 0, 5, 5)]
+        with pytest.raises(ValueError, match="without corruption"):
+            compare_schemes(population)
+        with pytest.raises(ValueError, match="without corruption"):
+            tradeoff_table(population)
 
     def test_totals_conserved(self):
         rows = tradeoff_table(catalogue_errors())

@@ -21,8 +21,7 @@ from repro.ecc.classify import (
     classify_unprotected,
     compare_schemes,
 )
-from repro.ecc.hamming import SECDED_32, DecodeStatus
-from repro.ecc.secded import SecdedOutcome, classify_word
+from repro.ecc.hamming import SECDED_32, DecodeStatus, Outcome
 from repro.faultinjection.catalogue import TABLE_I
 
 DATA_WORDS = (0x00000000, 0xFFFFFFFF, 0xDEADBEEF, 0x000016BB)
@@ -40,12 +39,17 @@ def _error(expected: int, actual: int) -> MemoryError_:
     )
 
 
+def secded_outcome(expected: int, actual: int) -> Outcome:
+    """The population classifier's SECDED outcome for one word."""
+    return classify_secded([_error(expected, actual)]).outcomes[0].outcome
+
+
 class TestSecdedGuarantees:
     @pytest.mark.parametrize("data", DATA_WORDS)
     def test_corrects_every_single_bit_position(self, data):
         for bit in range(32):
             mask = 1 << bit
-            assert classify_word(data, data ^ mask) is SecdedOutcome.CORRECTED
+            assert secded_outcome(data, data ^ mask) is Outcome.CORRECTED
             result = SECDED_32.decode_flips(data, mask)
             assert result.status is DecodeStatus.CORRECTED
             assert result.data == data  # correction restores the word
@@ -53,10 +57,10 @@ class TestSecdedGuarantees:
     def test_detects_every_double_bit_mask(self):
         data = 0xDEADBEEF
         outcomes = {
-            classify_word(data, data ^ ((1 << i) | (1 << j)))
+            secded_outcome(data, data ^ ((1 << i) | (1 << j)))
             for i, j in itertools.combinations(range(32), 2)
         }
-        assert outcomes == {SecdedOutcome.DETECTED}  # all 496 masks
+        assert outcomes == {Outcome.DETECTED}  # all 496 masks
 
     def test_double_bit_codec_never_returns_corrected(self):
         data = 0x000016BB
@@ -68,15 +72,15 @@ class TestSecdedGuarantees:
         """>2 flipped bits fall through to honest replay (Sec III-C)."""
         data = 0xFFFFFFFF
         outcomes = {
-            classify_word(data, data ^ mask)
+            secded_outcome(data, data ^ mask)
             for mask in (0b111, 0b111 << 13, 0x80000003, 0x11100000)
         }
-        assert SecdedOutcome.CORRECTED not in outcomes
-        assert outcomes & {SecdedOutcome.DETECTED, SecdedOutcome.SDC}
+        assert Outcome.CORRECTED not in outcomes
+        assert outcomes & {Outcome.DETECTED, Outcome.SDC}
 
     def test_zero_flip_rejected(self):
         with pytest.raises(ValueError):
-            classify_word(0x1234, 0x1234)
+            secded_outcome(0x1234, 0x1234)
 
 
 class TestChipkillGuarantees:
@@ -108,33 +112,27 @@ class TestChipkillGuarantees:
         failure is uncorrectable for SECDED but routine for chipkill."""
         data = 0xFFFFFFFF
         nibble = 0xF << 8
-        assert classify_word(data, data ^ nibble) is not SecdedOutcome.CORRECTED
+        assert secded_outcome(data, data ^ nibble) is not Outcome.CORRECTED
         assert CHIPKILL_32.decode_flips(data, nibble).status is DecodeStatus.CORRECTED
 
 
 class TestClassifierAgreement:
     """classify_* population summaries vs direct per-word codec calls."""
 
-    def test_secded_summary_matches_classify_word_on_table1(self):
+    def test_secded_summary_matches_codec_on_table1(self):
         errors = [_error(p.expected, p.corrupted) for p in TABLE_I]
         summary = classify_secded(errors)
         assert summary.total == len(TABLE_I)
         for outcome, pattern in zip(summary.outcomes, TABLE_I):
-            assert outcome.outcome is classify_word(
-                pattern.expected, pattern.corrupted
-            )
+            codec = SECDED_32.decode_flips(pattern.expected, pattern.flip_mask)
+            assert outcome.outcome is codec.outcome
 
     def test_chipkill_summary_matches_codec_on_table1(self):
         errors = [_error(p.expected, p.corrupted) for p in TABLE_I]
         summary = classify_chipkill(errors)
-        status_to_outcome = {
-            DecodeStatus.CORRECTED: SecdedOutcome.CORRECTED,
-            DecodeStatus.DETECTED: SecdedOutcome.DETECTED,
-        }
         for outcome, pattern in zip(summary.outcomes, TABLE_I):
-            status = CHIPKILL_32.decode_flips(pattern.expected, pattern.flip_mask).status
-            expected = status_to_outcome.get(status, SecdedOutcome.SDC)
-            assert outcome.outcome is expected
+            codec = CHIPKILL_32.decode_flips(pattern.expected, pattern.flip_mask)
+            assert outcome.outcome is codec.outcome
 
     def test_memory_error_properties_match_table1_metadata(self):
         for pattern in TABLE_I:

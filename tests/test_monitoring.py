@@ -2,10 +2,12 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.records import EndRecord, ErrorRecord, StartRecord
 from repro.logs.format import format_record
+from repro.logs.frame import ErrorFrame
 from repro.monitoring import (
     Advice,
     LogFollower,
@@ -13,6 +15,7 @@ from repro.monitoring import (
     frame_from_directory,
     monitor_directory,
 )
+from repro.resilience.prediction import PredictorConfig, SpatioTemporalPredictor
 
 
 def write_lines(path: Path, records):
@@ -111,6 +114,50 @@ class TestOnlineMonitor:
         two = OnlineMonitor()
         split = two.ingest(records[:5]) + two.ingest(records[5:])
         assert [a.node for a in batch] == [a.node for a in split]
+
+
+def bursty_stream(seed: int = 2016, n_nodes: int = 16, days: int = 90):
+    """Time-ordered error records: sparse background plus storms."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for n in range(n_nodes):
+        node = f"{n + 1:02d}-03"
+        times = list(rng.uniform(0.0, days * 24.0, rng.poisson(days * 0.6)))
+        for _ in range(int(rng.integers(0, 8))):
+            start = rng.uniform(0.0, days * 24.0)
+            gaps = rng.exponential(rng.uniform(0.1, 3.0), int(rng.integers(2, 60)))
+            times.extend((start + np.cumsum(gaps)).tolist())
+        records.extend(err(t, node=node, va=i) for i, t in enumerate(times))
+    records.sort(key=lambda r: r.timestamp_hours)
+    return records
+
+
+class TestPredictorParity:
+    """Batch replay and the online monitor raise the same Sec III-I alarms."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PredictorConfig(),
+            PredictorConfig(trigger_count=1, window_hours=2.0, horizon_hours=6.0),
+        ],
+        ids=["default", "eager"],
+    )
+    def test_monitor_alarms_equal_predictor_alarms(self, config):
+        records = bursty_stream()
+        report = SpatioTemporalPredictor(config).run(ErrorFrame.from_records(records))
+        replayed = [(a.node, a.time_hours) for a in report.alarms]
+        assert len(replayed) > 50
+
+        def alarms(advice):
+            return [(a.node, a.time_hours) for a in advice if a.kind == "quarantine"]
+
+        whole = OnlineMonitor(config).ingest(records)
+        chunked = OnlineMonitor(config)
+        half = len(records) // 2
+        split = chunked.ingest(records[:half]) + chunked.ingest(records[half:])
+        assert alarms(whole) == replayed
+        assert alarms(split) == replayed
 
 
 class TestDirectoryHelpers:
