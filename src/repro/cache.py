@@ -34,10 +34,9 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from . import __version__
-from .core.errors import CheckpointError
 
 try:  # POSIX advisory locks; Windows falls back to lockfile spinning.
     import fcntl
@@ -128,8 +127,8 @@ class FileLock:
 
     Uses ``flock`` where available (POSIX), else an ``O_EXCL`` lockfile
     with timed spinning.  Concurrent ``repro`` invocations serialize
-    their cache/journal writes through this, so two processes can never
-    interleave a torn entry.  Reentrant within a process is *not*
+    their cache and live-archive writes through this, so two processes
+    can never interleave a torn entry.  Reentrant within a process is *not*
     supported — hold it for the shortest write possible.
     """
 
@@ -300,187 +299,6 @@ class CampaignCache:
             except OSError:
                 pass
         return removed
-
-
-# ---------------------------------------------------------------------------
-# Campaign checkpoint journal
-# ---------------------------------------------------------------------------
-
-#: Frame magic for one journal entry; bump with the frame layout.
-JOURNAL_MAGIC = b"RJN1"
-
-#: Journal schema carried in meta.json; bump to orphan old checkpoints.
-JOURNAL_SCHEMA = 1
-
-_JOURNAL_META = "meta.json"
-_JOURNAL_FILE = "journal.bin"
-_HEADER_LEN = len(JOURNAL_MAGIC) + 8 + 32  # magic | u64 length | sha256
-
-
-class CampaignJournal:
-    """Append-only, fsync'd checkpoint of completed per-node results.
-
-    The durability protocol mirrors the columnar archive's manifest-last
-    discipline, adapted to incremental appends: ``meta.json`` (the
-    config digest this checkpoint belongs to) is written first and
-    fsync'd, then each completed node appends one checksummed frame —
-    ``magic | u64 payload length | sha256(payload) | payload`` — to
-    ``journal.bin``, fsync'd per append.  A crash mid-append leaves a
-    torn tail that :meth:`entries` detects (short read or digest
-    mismatch) and discards, so a resumed campaign recomputes exactly the
-    nodes whose results never became durable.  A resume additionally
-    *truncates* the torn bytes before appending — frames written after
-    garbage would be unreachable on every later resume, since frame
-    iteration stops at the first bad frame.
-
-    Entries are keyed by node name; a node journaled twice (a retried
-    driver) keeps the *first* durable entry, preserving bit-identity with
-    an uninterrupted run since per-node results are deterministic.
-    """
-
-    def __init__(self, directory: str | Path, key: str):
-        self.directory = Path(directory)
-        self.key = key
-        self._fh = None
-        self.n_torn = 0
-        #: Byte offset just past the last fully-validated frame, set by
-        #: :meth:`entries` — the truncation point for a torn tail.
-        self.valid_bytes = 0
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / _JOURNAL_FILE
-
-    @property
-    def meta_path(self) -> Path:
-        return self.directory / _JOURNAL_META
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def open(self, *, resume: bool) -> dict[str, Any]:
-        """Create or attach to the journal; return already-durable entries.
-
-        ``resume=False`` starts a fresh journal (truncating any previous
-        one).  ``resume=True`` requires the existing checkpoint to carry
-        the same config digest — resuming someone else's checkpoint would
-        silently mix simulations — and returns its completed entries.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        existing: dict[str, Any] = {}
-        if resume and self.meta_path.exists():
-            try:
-                meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CheckpointError(
-                    f"unreadable checkpoint meta {self.meta_path}: {exc}"
-                ) from exc
-            if meta.get("schema") != JOURNAL_SCHEMA:
-                raise CheckpointError(
-                    f"checkpoint {self.directory} has schema "
-                    f"{meta.get('schema')!r}, this writer uses {JOURNAL_SCHEMA}"
-                )
-            if meta.get("key") != self.key:
-                raise CheckpointError(
-                    f"checkpoint {self.directory} belongs to a different "
-                    f"campaign configuration (digest {meta.get('key')!r}, "
-                    f"this run is {self.key!r})"
-                )
-            existing = self.entries()
-            if self.n_torn:
-                # Amputate the torn tail before reopening for append:
-                # frames written after garbage bytes would be unreachable
-                # on every later resume (_iter_frames stops at the first
-                # bad frame), so a second crash would lose all progress
-                # journaled by this resumed run.
-                with open(self.journal_path, "r+b") as fh:
-                    fh.truncate(self.valid_bytes)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-        else:
-            self._write_meta()
-            try:
-                self.journal_path.unlink()
-            except FileNotFoundError:
-                pass
-        self._fh = open(self.journal_path, "ab")
-        return existing
-
-    def _write_meta(self) -> None:
-        payload = json.dumps(
-            {"schema": JOURNAL_SCHEMA, "key": self.key, "writer": __version__},
-            sort_keys=True,
-        )
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.meta_path)
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- appends ------------------------------------------------------------
-
-    def append(self, node: str, value: Any) -> None:
-        """Durably journal one completed node (fsync before returning)."""
-        if self._fh is None:
-            raise CheckpointError("journal is not open for appends")
-        payload = pickle.dumps((node, value), protocol=pickle.HIGHEST_PROTOCOL)
-        frame = (
-            JOURNAL_MAGIC
-            + len(payload).to_bytes(8, "little")
-            + hashlib.sha256(payload).digest()
-            + payload
-        )
-        self._fh.write(frame)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    # -- reads --------------------------------------------------------------
-
-    def _iter_frames(self) -> Iterator[tuple[str, Any]]:
-        try:
-            blob = self.journal_path.read_bytes()
-        except OSError:
-            return
-        offset = 0
-        while offset < len(blob):
-            header = blob[offset : offset + _HEADER_LEN]
-            if len(header) < _HEADER_LEN or not header.startswith(JOURNAL_MAGIC):
-                self.n_torn += 1
-                return  # torn or foreign tail: everything after is void
-            length = int.from_bytes(header[4:12], "little")
-            digest = header[12:44]
-            payload = blob[offset + _HEADER_LEN : offset + _HEADER_LEN + length]
-            if len(payload) < length or hashlib.sha256(payload).digest() != digest:
-                self.n_torn += 1
-                return
-            try:
-                node, value = pickle.loads(payload)
-            except Exception:
-                self.n_torn += 1
-                return
-            offset += _HEADER_LEN + length
-            self.valid_bytes = offset
-            yield node, value
-
-    def entries(self) -> dict[str, Any]:
-        """All durable entries, first write per node winning."""
-        self.n_torn = 0
-        self.valid_bytes = 0
-        out: dict[str, Any] = {}
-        for node, value in self._iter_frames():
-            out.setdefault(node, value)
-        return out
 
 
 _DEFAULT_CACHE: CampaignCache | None = None

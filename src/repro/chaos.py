@@ -24,9 +24,8 @@ Fault kinds
     a wedged node.  Recoverable only where the supervisor can kill the
     worker (process backend).
 
-Torn writes — the fourth failure class of the campaign journal — are not
-per-unit faults; :func:`tear_file` truncates a file mid-record the way a
-power loss would, for checkpoint/resume tests.
+Torn writes are not per-unit faults; :func:`tear_file` truncates a file
+mid-record the way a power loss would, for crash-recovery tests.
 
 Network/IO faults
 -----------------
@@ -365,8 +364,8 @@ def tear_file(path: str | Path, drop_bytes: int) -> int:
     """Truncate the last ``drop_bytes`` bytes of ``path`` (a torn write).
 
     Returns the new size.  Mimics a crash mid-append: the file ends
-    inside a record, which checksummed framing (the campaign journal, the
-    columnar manifest-last protocol) must detect and discard.
+    inside a record, which checksummed framing (the columnar
+    manifest-last protocol) must detect and discard.
     """
     path = Path(path)
     size = path.stat().st_size

@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "stream records into a live columnar archive at DIR as nodes "
-            "complete (bounded parent memory; queryable while running)"
+            "complete (bounded parent memory; queryable while running); "
+            "a second run on DIR resumes the campaign it holds"
         ),
     )
     camp.add_argument(
@@ -114,20 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="completed nodes per streamed L0 segment commit",
-    )
-    camp.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="journal each completed node to DIR (enables --resume)",
-    )
-    camp.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "restore completed nodes from a prior interrupted run's "
-            "--checkpoint journal instead of recomputing them"
-        ),
     )
 
     exp_csv = sub.add_parser("export", help="export every experiment as CSV")
@@ -1149,9 +1136,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.quick
             else paper_campaign_config(args.seed)
         )
-        if args.resume and not args.checkpoint:
-            print("error: --resume requires --checkpoint DIR", file=sys.stderr)
-            return 2
         if args.out is None and args.stream_out is None:
             print(
                 "error: pass --out DIR and/or --stream-out DIR",
@@ -1166,8 +1150,6 @@ def main(argv: list[str] | None = None) -> int:
                 backend=args.backend,
                 retry=retry,
                 unit_timeout=args.unit_timeout,
-                checkpoint_dir=args.checkpoint,
-                resume=args.resume,
                 stream_to=args.stream_out,
                 stream_flush_nodes=args.stream_flush_nodes,
             )
@@ -1198,7 +1180,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{node} {seconds:.2f}s"
                 for node, seconds in result.metrics.slowest_nodes(3)
             )
-            print(f"slowest nodes: {slowest}")
+            if slowest:  # empty when every unit was resumed
+                print(f"slowest nodes: {slowest}")
         if result.degraded is not None and result.degraded.n_failed:
             print(f"DEGRADED: {result.degraded.summary()}", file=sys.stderr)
             return 3

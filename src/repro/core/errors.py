@@ -86,4 +86,4 @@ class ChaosError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A campaign checkpoint journal is unusable for the requested run."""
+    """A campaign's stream directory cannot be resumed by the requested run."""

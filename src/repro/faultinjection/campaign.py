@@ -33,7 +33,6 @@ archives and tracks.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -48,7 +47,7 @@ from ..core.rng import RngFactory
 from ..core.units import SCAN_TARGET_MB
 from ..dram.addressing import AddressMap, stable_salt
 from ..environment.temperature import TemperatureModel
-from ..logs.columnar import ColumnarArchive
+from ..logs.columnar import ColumnarArchive, RecordColumns
 from ..logs.frame import ErrorFrame
 from ..logs.store import LogArchive
 from ..parallel import (
@@ -124,7 +123,8 @@ class CampaignMetrics:
     n_retries: int = 0
     n_timeouts: int = 0
     n_pool_rebuilds: int = 0
-    #: Nodes restored from a checkpoint journal instead of simulated.
+    #: Units found committed in the stream directory's ledger, so skipped
+    #: (they are absent from ``node_seconds``).
     n_resumed: int = 0
     #: Nodes that exhausted their retry budget (see CampaignResult.degraded).
     n_degraded: int = 0
@@ -165,7 +165,7 @@ class CampaignMetrics:
         )
         extras = []
         if self.n_resumed:
-            extras.append(f"{self.n_resumed} resumed from checkpoint")
+            extras.append(f"{self.n_resumed} units resumed from the stream")
         if self.n_retries:
             extras.append(f"{self.n_retries} retries")
         if self.n_timeouts:
@@ -537,14 +537,9 @@ class _NodeResult:
     records: list[ErrorRecord]
     lifecycle: list
     seconds: float
-    #: True once the streaming sink committed this unit's records to a
-    #: live archive (``records``/``lifecycle`` are then empty).  Default
-    #: False keeps journals from pre-streaming runs loadable.
-    streamed: bool = False
     #: Claim check for columns the worker spilled to the shard arena
     #: instead of pickling through the result (``records``/``lifecycle``
-    #: are then already empty).  Cleared before journaling so checkpoint
-    #: entries never reference the run-scoped arena directory.
+    #: are then already empty).
     shard: ShardTicket | None = None
 
 
@@ -605,11 +600,6 @@ _WORKER_CTX: _CampaignContext | None = None
 #: Spill arena for streaming process runs (set alongside the context).
 _WORKER_ARENA: ShardArena | None = None
 
-#: Environment switch for the worker-side mmap handoff; set to ``0`` to
-#: force streamed process campaigns back to pickled record lists.
-SHARD_HANDOFF_ENV = "REPRO_SHARD_HANDOFF"
-
-
 def _init_worker(config: CampaignConfig, materialize_lifecycle: bool) -> None:
     global _WORKER_CTX
     _WORKER_CTX = _CampaignContext(config, materialize_lifecycle)
@@ -638,8 +628,6 @@ def _node_worker_spill(name: str) -> _NodeResult:
     pickle, so handoff cost no longer scales with a node's record count.
     """
     assert _WORKER_ARENA is not None, "spill worker used before initialization"
-    from ..logs.columnar import RecordColumns
-
     result = _node_worker(name)
     columns = RecordColumns.from_records(
         list(result.records) + list(result.lifecycle)
@@ -654,6 +642,34 @@ def _node_worker_spill(name: str) -> _NodeResult:
     return result
 
 
+def _open_stream(path: str | Path, config: CampaignConfig):
+    """Open ``path`` as this campaign's live archive, refusing any other.
+
+    The campaign's config digest enters the ledger as an empty
+    ``campaign:<digest>`` batch before the first unit.  A directory whose
+    ledger or shards hold anything else (another campaign, ``repro
+    ingest`` batches, an archive streamed before the marker existed)
+    raises :class:`CheckpointError`: its committed units would be
+    skipped as this campaign's.
+    """
+    from ..cache import config_digest
+    from ..core.errors import CheckpointError
+    from ..logs.ingest import LiveArchive
+
+    live = LiveArchive.create(path)
+    mark = f"campaign:{config_digest(config)}"
+    ledger = live.committed_batches
+    if (ledger or live.manifest["shards"]) and mark not in ledger:
+        owners = [batch for batch in ledger if batch.startswith("campaign:")]
+        raise CheckpointError(
+            f"stream directory {path} holds "
+            + (f"another campaign ({owners[0]})" if owners else "records of no campaign")
+            + f", not {mark}: stream this campaign into an empty directory"
+        )
+    live.append_batch({mark: RecordColumns.empty()})
+    return live
+
+
 def run_campaign(
     config: CampaignConfig | None = None,
     materialize_lifecycle: bool = False,
@@ -663,8 +679,6 @@ def run_campaign(
     retry: RetryPolicy | None = None,
     unit_timeout: float | None = None,
     chaos=None,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
     stream_to: str | Path | None = None,
     stream_flush_nodes: int = 64,
 ) -> CampaignResult:
@@ -679,16 +693,13 @@ def run_campaign(
     Results are bit-identical across backends for the same seed.
 
     Fault tolerance (any of ``retry``/``unit_timeout``/``chaos``/
-    ``checkpoint_dir`` routes the per-node fan-out through
+    ``stream_to`` routes the per-node fan-out through
     :func:`repro.parallel.supervised_map`):
 
     * ``retry`` re-runs a failed node within its budget — per-node RNG
       streams are pure functions of ``(seed, key)`` and units are
       side-effect-free, so retries never change results;
     * ``unit_timeout`` is the per-node watchdog (process backend);
-    * ``checkpoint_dir`` journals each completed node durably, and
-      ``resume=True`` restores completed nodes from a prior interrupted
-      run of the *same* configuration instead of recomputing them;
     * nodes that exhaust the budget are reported in
       :attr:`CampaignResult.degraded` (the paper's dead-blade
       accounting), never raised;
@@ -703,18 +714,26 @@ def run_campaign(
     one level-0 segment.  The returned :class:`CampaignResult` then
     carries a lazily-loaded :class:`ColumnarArchive` over that
     directory — bit-identical, record for record, to the batch
-    archive the same configuration would assemble in memory.  Streaming
-    composes with checkpointing: units are journaled only *after* their
-    records are durable in the archive, and the archive's batch ledger
-    dedups any unit replayed after a crash, so resume is exactly-once.
+    archive the same configuration would assemble in memory.
+
+    The stream directory is also the campaign's checkpoint.  Its ledger
+    names the campaign (``campaign:<config digest>``, committed before
+    the first unit; a directory holding anything else raises
+    :class:`~repro.core.errors.CheckpointError`) and every committed
+    ``unit:<node>``.  A run on a directory that already holds units of
+    the same campaign skips them (:attr:`CampaignMetrics.n_resumed`;
+    their tracks come from the parent's block pass) and simulates the
+    rest, so a killed or degraded campaign resumes bit-identically by
+    running it again.  The digest leaves out ``workers``/``backend``: a
+    run killed on 8 processes can resume serially.  ``n_observations``
+    is the archive's ERROR-record count (one per observation).
 
     On the process backend, streamed units hand their columns over
     through a :class:`repro.parallel.ShardArena`: the worker
     columnarizes and spills ``.npy`` files, only a small ticket rides
     the result pickle, and the parent claims the arrays back as
     memory-mapped views — transfer cost stops scaling with record
-    count.  Set ``REPRO_SHARD_HANDOFF=0`` to fall back to pickled
-    record lists.
+    count.
     """
     t_begin = time.perf_counter()
     config = config or paper_campaign_config()
@@ -730,7 +749,6 @@ def run_campaign(
         retry is not None
         or unit_timeout is not None
         or chaos is not None
-        or checkpoint_dir is not None
         or stream_to is not None
     )
 
@@ -759,78 +777,33 @@ def run_campaign(
                 initializer=ctx.tracks,
             )
     else:
-        from ..cache import CampaignJournal, config_digest
-
-        journal: CampaignJournal | None = None
-        journaled: dict[str, _NodeResult] = {}
-        if checkpoint_dir is not None:
-            journal = CampaignJournal(checkpoint_dir, config_digest(config))
-            known = set(names)
-            journaled = {
-                node: value
-                for node, value in journal.open(resume=resume).items()
-                if node in known
-            }
-        n_resumed = len(journaled)
-        remaining = [name for name in names if name not in journaled]
-
-        if stream_to is None and any(
-            getattr(value, "streamed", False) for value in journaled.values()
-        ):
-            from ..core.errors import CheckpointError
-
-            raise CheckpointError(
-                "checkpoint journal holds streamed units whose records "
-                "live in their archive, not the journal: pass the same "
-                "stream_to= directory to resume this campaign"
-            )
-
+        remaining = names
         on_result = None
-        _flush_stream = None
         arena: ShardArena | None = None
         if stream_to is not None:
-            from ..logs.columnar import RecordColumns
-            from ..logs.ingest import LiveArchive
-
-            live = LiveArchive.create(stream_to)
+            live = _open_stream(stream_to, config)
+            committed = set(live.committed_batches)
+            remaining = [name for name in names if f"unit:{name}" not in committed]
+            n_resumed = len(names) - len(remaining)
             flush_every = max(1, int(stream_flush_nodes))
-            stream_buffer: list[tuple[str, _NodeResult, RecordColumns]] = []
-            if (
-                exec_backend == "process"
-                and os.environ.get(SHARD_HANDOFF_ENV, "1") != "0"
-            ):
+            window: list[tuple[str, RecordColumns, ShardTicket | None]] = []
+            if exec_backend == "process":
                 arena = ShardArena.create()
 
             def _flush_stream() -> None:
-                if not stream_buffer:
+                if not window:
                     return
-                live.append_batch(
-                    {f"unit:{key}": cols for key, _value, cols in stream_buffer}
-                )
-                # Journal only after the records are durable in the
-                # archive (journaled => streamed).  A crash between the
-                # two re-runs the unit on resume; the archive's batch
-                # ledger dedups the replayed records.  Shard tickets are
-                # cleared first (journal entries must outlive the arena)
-                # and released last (claimed arrays are mmap-backed, so
-                # the spill must survive until append_batch copied it).
-                tickets = []
-                for _key, value, _cols in stream_buffer:
-                    ticket = getattr(value, "shard", None)
+                live.append_batch({f"unit:{key}": cols for key, cols, _ in window})
+                # Claimed arrays are mmap-backed: release each spill only
+                # once append_batch has copied it into the archive.
+                for _key, _cols, ticket in window:
                     if ticket is not None:
-                        tickets.append(ticket)
-                        value.shard = None
-                if journal is not None:
-                    for key, value, _cols in stream_buffer:
-                        journal.append(key, value)
-                if arena is not None:
-                    for ticket in tickets:
                         arena.release(ticket)
-                stream_buffer.clear()
+                window.clear()
 
             def on_result(_i, key, value) -> None:
-                ticket = getattr(value, "shard", None)
-                if ticket is not None and arena is not None:
+                ticket = value.shard
+                if ticket is not None:
                     # The worker already columnarized and spilled this
                     # unit; claim the arrays back as read-only mmaps.
                     cols = RecordColumns.from_arrays(
@@ -845,30 +818,9 @@ def run_campaign(
                 # holds more than one flush window of records in RAM.
                 value.records = []
                 value.lifecycle = []
-                value.streamed = True
-                stream_buffer.append((key, value, cols))
-                if len(stream_buffer) >= flush_every:
+                window.append((key, cols, ticket))
+                if len(window) >= flush_every:
                     _flush_stream()
-
-            # Units journaled by an earlier *non-streaming* run still own
-            # their records: commit them as a backlog batch (the ledger
-            # dedups any already streamed) and strip them the same way.
-            backlog = {
-                f"unit:{name}": RecordColumns.from_records(
-                    list(value.records) + list(value.lifecycle)
-                )
-                for name, value in journaled.items()
-                if not getattr(value, "streamed", False)
-            }
-            if backlog:
-                live.append_batch(backlog)
-                for name, value in journaled.items():
-                    if not getattr(value, "streamed", False):
-                        value.records = []
-                        value.lifecycle = []
-                        value.streamed = True
-        elif journal is not None:
-            on_result = lambda _i, key, value: journal.append(key, value)  # noqa: E731
 
         try:
             if exec_backend == "process":
@@ -906,19 +858,13 @@ def run_campaign(
                     chaos=chaos,
                     on_unit_result=on_result,
                 )
-            if _flush_stream is not None:
-                _flush_stream()  # tail window, while the journal is open
+            if stream_to is not None:
+                _flush_stream()  # the tail window
         finally:
-            if journal is not None:
-                journal.close()
             if arena is not None:
                 arena.close()
 
-        by_name = dict(journaled)
-        for name, value in zip(remaining, outcome.values):
-            if value is not None:
-                by_name[name] = value
-        results = [by_name[name] for name in names if name in by_name]
+        results = [value for value in outcome.values if value is not None]
         n_retries = outcome.n_retries
         n_timeouts = outcome.n_timeouts
         n_pool_rebuilds = outcome.n_pool_rebuilds
@@ -933,48 +879,42 @@ def run_campaign(
                 n_planned=len(names),
             )
 
-    tracks = {result.node: result.track for result in results}
-    n_observations = sum(result.n_observations for result in results)
+    lost = set(degraded.names()) if degraded is not None else set()
+    by_node = {result.node: result for result in results}
+    tracks = {
+        name: by_node[name].track if name in by_node else ctx.tracks()[name]
+        for name in names
+        if name not in lost
+    }
 
     # -- sequential phase: catalogue resolution + archive assembly ---------
     # resolve_catalogue skips plans whose node has no track, so a
     # degraded population degrades the catalogue the same way the paper's
     # dead blades shrank its Table I population.
-    catalogue_obs = resolve_catalogue(
-        ctx.plans, tracks, config, ctx.rngs.get("catalogue/resolve")
+    catalogue = ctx.render(
+        resolve_catalogue(ctx.plans, tracks, config, ctx.rngs.get("catalogue/resolve"))
     )
-    n_observations += len(catalogue_obs)
 
     if stream_to is not None:
-        from ..core.errors import CheckpointError
-        from ..logs.columnar import RecordColumns
-        from ..logs.ingest import LiveArchive
-
-        live = LiveArchive.open(stream_to)
-        live.append_batch(
-            {"catalogue": RecordColumns.from_records(ctx.render(catalogue_obs))}
-        )
-        ledger = set(live.committed_batches)
-        missing = sorted(
-            name for name in tracks if f"unit:{name}" not in ledger
-        )
-        if missing:
-            raise CheckpointError(
-                f"streamed archive {stream_to} is missing "
-                f"{len(missing)} committed units (e.g. {missing[:3]}); "
-                "the stream and journal have diverged"
-            )
+        # The catalogue is one RNG stream over the whole population.  A
+        # run that lost a node carrying a catalogue fault leaves it
+        # uncommitted: once in the ledger, a resume could not replace it.
+        if not lost & {plan.node for plan in ctx.plans}:
+            live.append_batch({"catalogue": RecordColumns.from_records(catalogue)})
         archive: LogArchive | ColumnarArchive = ColumnarArchive.load(
             stream_to, lazy=True
         )
+        n_observations = archive.n_errors()
     else:
         archive = LogArchive()
         for result in results:
             archive.extend(result.records)
-        archive.extend(ctx.render(catalogue_obs))
+        archive.extend(catalogue)
         for result in results:
             archive.extend(result.lifecycle)
         archive.sort()
+        n_observations = sum(result.n_observations for result in results)
+        n_observations += len(catalogue)
 
     wall = time.perf_counter() - t_begin
     node_seconds = {result.node: result.seconds for result in results}

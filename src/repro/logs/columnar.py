@@ -30,6 +30,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import tempfile
 import zipfile
 from dataclasses import dataclass
 from itertools import islice
@@ -45,6 +47,7 @@ from ..core.errors import (
     ShardCorruptError,
     UnknownFormatVersionError,
 )
+from ..core.fsio import fsync_dir
 from ..core.records import (
     AllocFailRecord,
     EndRecord,
@@ -1265,11 +1268,6 @@ def write_manifest_atomic(
     ``before_replace`` is a test hook (crash injection between durability
     and visibility); production callers leave it None.
     """
-    import os
-    import tempfile
-
-    from ..core.fsio import fsync_dir
-
     manifest_path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=manifest_path.parent, suffix=".tmp")
     try:
@@ -1511,9 +1509,11 @@ class ColumnarArchive:
     def save(self, path: str | Path) -> dict:
         """Write one ``.npz`` shard per node plus the checksummed manifest.
 
-        Returns the manifest dict.  Writing the manifest last means a
-        half-written directory fails loudly on load (missing manifest)
-        rather than silently truncating the archive.
+        Returns the manifest dict.  Every shard is fsync'd before the
+        manifest commits through :func:`write_manifest_atomic`, so a
+        committed manifest never names a shard that is not on disk, and a
+        crash before the commit leaves a new directory without a manifest
+        (which fails loudly on load).
         """
         from .. import __version__
 
@@ -1524,7 +1524,10 @@ class ColumnarArchive:
             cols = self.columns(node)  # materializes lazy shards
             filename = f"{node}.npz"
             payload = shard_payload(cols, node)
-            (directory / filename).write_bytes(payload)
+            with open(directory / filename, "wb") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
             shards.append(
                 {
                     "node": node,
@@ -1553,10 +1556,8 @@ class ColumnarArchive:
             "n_raw_lines": self.n_raw_error_lines(),
             "shards": shards,
         }
-        manifest_path = directory / MANIFEST_NAME
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        fsync_dir(directory)
+        write_manifest_atomic(directory / MANIFEST_NAME, manifest)
         return manifest
 
     @classmethod

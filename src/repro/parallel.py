@@ -419,12 +419,12 @@ def supervised_map(
 
     ``keys`` names units for failure reporting and chaos targeting
     (default ``str(item)``).  ``on_unit_result(index, key, value)`` runs
-    in the supervising process as each unit first succeeds — the
-    checkpoint-journal hook.  It is never invoked concurrently: the
-    process and serial backends call it from the supervisor loop, and the
-    thread backend serializes calls through a lock while still firing
-    per completion, so checkpoint journaling stays incremental on every
-    backend.  Permanent failures become :class:`UnitFailure` entries
+    in the supervising process as each unit first succeeds — the hook a
+    streamed campaign commits its units through.  It is never invoked
+    concurrently: the process and serial backends call it from the
+    supervisor loop, and the thread backend serializes calls through a
+    lock while still firing per completion, so commits stay incremental
+    on every backend.  Permanent failures become :class:`UnitFailure` entries
     instead of exceptions; callers decide whether a degraded result is
     acceptable.
     """
@@ -481,10 +481,10 @@ def supervised_map(
                 return
 
     if backend == "thread" and len(items) > 1:
-        # Completion callbacks fire as each unit succeeds (checkpoint
-        # journaling stays incremental — a driver crash mid-map loses
-        # only the units still running), serialized through the lock so
-        # the journal never sees interleaved appends.
+        # Completion callbacks fire as each unit succeeds (commits stay
+        # incremental — a driver crash mid-map loses only the units still
+        # running), serialized through the lock so the callback never
+        # sees interleaved calls.
         def run_and_report(unit: _UnitState) -> None:
             run_unit(unit)
             if unit.done and on_unit_result is not None:

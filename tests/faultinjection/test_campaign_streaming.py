@@ -1,15 +1,14 @@
-"""Streaming campaign execution (ISSUE 6 tentpole acceptance tests).
+"""Streaming campaign execution.
 
 ``run_campaign(stream_to=...)`` must produce the same archive as the
 in-memory batch path, record for record — while the parent never holds
 more than one flush window of records.  These tests pin:
 
 * bit-identical per-node text renderings, streamed vs batch;
-* the exactly-once resume contract: a journal holding streamed units
-  refuses to resume without its archive, and a resume *with* it
-  deduplicates every replayed batch;
-* the backlog path: a journal from a pre-streaming run feeds its
-  record-bearing units into the archive on first streamed resume;
+* the exactly-once resume contract: a second run on the same directory
+  skips every unit its ledger holds and leaves the archive unchanged;
+* the ownership check: a directory holding another campaign (or records
+  of no campaign) is refused before any unit runs;
 * the CLI wiring (`repro campaign --stream-out`, `repro ingest`,
   `repro compact`).
 """
@@ -18,11 +17,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import config_digest
 from repro.cli import main as cli_main
 from repro.core.errors import CheckpointError
+from repro.faultinjection import campaign as campaign_module
 from repro.faultinjection import run_campaign
 from repro.faultinjection.config import quick_campaign_config
-from repro.logs.columnar import ColumnarArchive
+from repro.logs.columnar import ColumnarArchive, RecordColumns
 from repro.logs.ingest import LiveArchive
 
 
@@ -38,24 +39,21 @@ def rendering_of_batch(result, out) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def streamed(tmp_path_factory):
-    """One streamed+journaled quick campaign, shared by the module."""
-    root = tmp_path_factory.mktemp("streamed-campaign")
-    stream_dir = root / "archive"
-    ckpt = root / "ckpt"
+    """One streamed quick campaign, shared by the module."""
+    stream_dir = tmp_path_factory.mktemp("streamed-campaign") / "archive"
     result = run_campaign(
         quick_campaign_config(),
         stream_to=stream_dir,
         stream_flush_nodes=200,
-        checkpoint_dir=ckpt,
     )
-    return result, stream_dir, ckpt
+    return result, stream_dir
 
 
 class TestStreamedParity:
     def test_streamed_matches_batch_bit_for_bit(
         self, quick_campaign, streamed, tmp_path
     ):
-        result, stream_dir, _ = streamed
+        result, stream_dir = streamed
         assert result.degraded is None
         assert result.n_observations == quick_campaign.n_observations
         assert sorted(result.tracks) == sorted(quick_campaign.tracks)
@@ -63,11 +61,12 @@ class TestStreamedParity:
         assert rendering_of_columnar(stream_dir, tmp_path / "streamed") == expected
 
     def test_streamed_result_carries_a_columnar_archive(self, streamed):
-        result, stream_dir, _ = streamed
+        result, stream_dir = streamed
         assert isinstance(result.archive, ColumnarArchive)
         live = LiveArchive.open(stream_dir)
         ledger = set(live.committed_batches)
         assert "catalogue" in ledger
+        assert f"campaign:{config_digest(result.config)}" in ledger
         assert {f"unit:{name}" for name in result.tracks} <= ledger
 
     def test_compaction_preserves_the_streamed_archive(
@@ -75,7 +74,7 @@ class TestStreamedParity:
     ):
         import shutil
 
-        _, stream_dir, _ = streamed
+        _, stream_dir = streamed
         work = tmp_path / "work"
         shutil.copytree(stream_dir, work)
         report = LiveArchive.open(work).compact()
@@ -85,59 +84,64 @@ class TestStreamedParity:
 
 
 class TestExactlyOnceResume:
-    def test_streamed_journal_refuses_resume_without_archive(self, streamed):
-        _, _, ckpt = streamed
-        with pytest.raises(CheckpointError, match="stream_to"):
-            run_campaign(
-                quick_campaign_config(), checkpoint_dir=ckpt, resume=True
-            )
-
     def test_resume_with_archive_deduplicates_everything(
         self, quick_campaign, streamed, tmp_path
     ):
-        result, stream_dir, ckpt = streamed
+        result, stream_dir = streamed
         before = LiveArchive.open(stream_dir)
         generation = before.generation
         n_records = before.manifest["n_records"]
 
-        resumed = run_campaign(
-            quick_campaign_config(),
-            stream_to=stream_dir,
-            checkpoint_dir=ckpt,
-            resume=True,
-        )
+        resumed = run_campaign(quick_campaign_config(), stream_to=stream_dir)
         assert resumed.metrics.n_resumed == len(result.tracks)
         assert resumed.n_observations == quick_campaign.n_observations
 
         after = LiveArchive.open(stream_dir)
         assert after.manifest["n_records"] == n_records  # zero duplicates
-        # The only new commits are replayed-and-deduplicated ledger
-        # no-ops plus the catalogue replay; the record population and
-        # batch ledger are unchanged.
+        # Every unit is skipped and the catalogue replay deduplicated:
+        # the record population and batch ledger are unchanged.
         assert sorted(after.committed_batches) == sorted(before.committed_batches)
         expected = rendering_of_batch(quick_campaign, tmp_path / "batch")
         assert rendering_of_columnar(stream_dir, tmp_path / "resumed") == expected
         assert after.generation >= generation
 
-    def test_batch_journal_backlog_streams_on_resume(
-        self, quick_campaign, tmp_path
-    ):
-        """A journal written *before* streaming existed still resumes
-        into an archive: its record-bearing units become a backlog batch."""
-        ckpt = tmp_path / "ckpt"
-        first = run_campaign(quick_campaign.config, checkpoint_dir=ckpt)
-        assert first.degraded is None
 
-        stream_dir = tmp_path / "archive"
-        resumed = run_campaign(
-            quick_campaign.config,
-            checkpoint_dir=ckpt,
-            resume=True,
-            stream_to=stream_dir,
+class TestStreamOwnership:
+    def _refused(self, stream_dir, monkeypatch, config):
+        """Run ``config`` into ``stream_dir``; return the units it simulated."""
+        simulated = []
+        real = campaign_module._simulate_node
+
+        def recording(ctx, name):
+            simulated.append(name)
+            return real(ctx, name)
+
+        monkeypatch.setattr(campaign_module, "_simulate_node", recording)
+        before = LiveArchive.open(stream_dir).manifest
+        with pytest.raises(CheckpointError):
+            run_campaign(config, stream_to=stream_dir)
+        assert LiveArchive.open(stream_dir).manifest == before
+        return simulated
+
+    def test_another_campaigns_stream_is_refused(self, streamed, monkeypatch):
+        """Regression: seed 2 streamed into seed 1's directory returned
+        seed 1's records under seed 2's tracks, with no error."""
+        _, stream_dir = streamed
+        other = quick_campaign_config(seed=2)
+        assert self._refused(stream_dir, monkeypatch, other) == []
+
+    def test_records_of_no_campaign_are_refused(self, tmp_path, monkeypatch):
+        """An ingest archive, or one streamed before the campaign marker
+        existed, holds batches no ``campaign:`` entry claims."""
+        from repro.core.records import ErrorRecord
+
+        stream_dir = tmp_path / "ingested"
+        rows = RecordColumns.from_records(
+            [ErrorRecord(1.0, "01-02", 4096, 7, 0xFF, 0xFE, 50.0, 1)]
         )
-        assert resumed.metrics.n_resumed == len(first.tracks)
-        expected = rendering_of_batch(quick_campaign, tmp_path / "batch")
-        assert rendering_of_columnar(stream_dir, tmp_path / "streamed") == expected
+        LiveArchive.create(stream_dir).append_batch({"unit:01-02": rows})
+        config = quick_campaign_config()
+        assert self._refused(stream_dir, monkeypatch, config) == []
 
 
 class TestStreamingCli:

@@ -132,22 +132,3 @@ class TestCampaignHandoff:
         for name in ("time_hours", "node_code", "expected", "actual",
                      "virtual_address", "physical_page", "repeat_count"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-    def test_handoff_env_opt_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_HANDOFF", "0")
-        claims = []
-        original = ShardArena.claim
-
-        def counting_claim(self, ticket):
-            claims.append(ticket.token)
-            return original(self, ticket)
-
-        monkeypatch.setattr(ShardArena, "claim", counting_claim)
-        result = run_campaign(
-            quick_campaign_config(),
-            stream_to=tmp_path / "pickled",
-            backend="process",
-            workers=2,
-        )
-        assert claims == []
-        assert result.archive.n_records() > 0

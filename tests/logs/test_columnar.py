@@ -288,6 +288,36 @@ class TestColumnarArchive:
         columnar = ColumnarArchive.from_log_archive(self.make())
         assert columnar.records("99-99") == []
 
+    def test_save_fsyncs_every_shard_before_the_manifest_commit(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        events: list[tuple[str, object]] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        manifest = ColumnarArchive.from_log_archive(self.make()).save(tmp_path)
+        monkeypatch.undo()
+
+        commit = events.index(("replace", MANIFEST_NAME))
+        synced = {ino for kind, ino in events[:commit] if kind == "fsync"}
+        for entry in manifest["shards"]:
+            assert (tmp_path / entry["file"]).stat().st_ino in synced, entry["file"]
+        assert read_manifest(tmp_path) == manifest
+        assert (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8") == (
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+
 
 # -- binary format failure modes ---------------------------------------------
 

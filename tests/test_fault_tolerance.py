@@ -2,10 +2,10 @@
 
 The contract under test (docs/ROBUSTNESS.md): any failure the retry
 budget absorbs — crashed units, killed workers, wedged workers, a killed
-driver resumed from its checkpoint, a torn journal tail — leaves the
-campaign's results *bit-identical* to an undisturbed serial run.  Above
-the budget the campaign degrades (dead-blade accounting) instead of
-raising.
+driver resumed from its stream directory, a node lost and then resumed —
+leaves the campaign's results *bit-identical* to an undisturbed serial
+run.  Above the budget the campaign degrades (dead-blade accounting)
+instead of raising.
 """
 
 from __future__ import annotations
@@ -23,16 +23,19 @@ import numpy as np
 import pytest
 
 from repro import chaos
-from repro.cache import CampaignCache, CampaignJournal, FileLock, config_digest
+from repro.cache import CampaignCache, FileLock, config_digest
 from repro.core.errors import (
     ChaosError,
     CheckpointError,
+    ColumnarFormatError,
     ConfigurationError,
     ShardCorruptError,
 )
 from repro.faultinjection import DegradedNode, DegradedResult, run_campaign
 from repro.faultinjection.config import quick_campaign_config
+from repro.logs.columnar import read_manifest
 from repro.logs.format import format_record
+from repro.logs.ingest import LiveArchive
 from repro.parallel import RetryPolicy, supervised_map
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,15 @@ def _assert_tracks_identical(a, b):
         track_b = b.tracks[node]
         assert np.array_equal(track_a.starts, track_b.starts)
         assert np.array_equal(track_a.ends, track_b.ends)
+
+
+def _committed_units(stream: Path) -> set[str]:
+    """The ``unit:<node>`` batches a stream directory's ledger holds."""
+    try:
+        batches = read_manifest(stream).get("batches") or []
+    except ColumnarFormatError:
+        return set()
+    return {batch for batch in batches if batch.startswith("unit:")}
 
 
 FAST_RETRY = RetryPolicy(retries=2, backoff_base_s=0.0)
@@ -145,7 +157,7 @@ class TestChaosPlan:
             chaos.FaultRule("raise", probability=1.5)
 
     def test_tear_file_truncates_and_floors_at_zero(self, tmp_path):
-        victim = tmp_path / "journal.bin"
+        victim = tmp_path / "shard.npz"
         victim.write_bytes(b"x" * 100)
         assert chaos.tear_file(victim, 30) == 70
         assert victim.stat().st_size == 70
@@ -374,91 +386,6 @@ class TestSupervisedMapProcess:
 
 
 # ---------------------------------------------------------------------------
-# CampaignJournal: durability framing
-# ---------------------------------------------------------------------------
-
-
-class TestCampaignJournal:
-    def test_append_and_read_back(self, tmp_path):
-        with CampaignJournal(tmp_path, "digest-a") as journal:
-            journal.open(resume=False)
-            journal.append("01-01", {"x": 1})
-            journal.append("01-02", [1, 2, 3])
-        reader = CampaignJournal(tmp_path, "digest-a")
-        assert reader.open(resume=True) == {"01-01": {"x": 1}, "01-02": [1, 2, 3]}
-        assert reader.n_torn == 0
-        reader.close()
-
-    def test_first_write_per_node_wins(self, tmp_path):
-        with CampaignJournal(tmp_path, "k") as journal:
-            journal.open(resume=False)
-            journal.append("01-01", "first")
-            journal.append("01-01", "second")
-        assert CampaignJournal(tmp_path, "k").entries() == {"01-01": "first"}
-
-    def test_torn_tail_is_discarded_not_fatal(self, tmp_path):
-        with CampaignJournal(tmp_path, "k") as journal:
-            journal.open(resume=False)
-            journal.append("01-01", "a" * 100)
-            journal.append("01-02", "b" * 100)
-        chaos.tear_file(tmp_path / "journal.bin", 10)  # mid-record crash
-        reader = CampaignJournal(tmp_path, "k")
-        assert reader.entries() == {"01-01": "a" * 100}
-        assert reader.n_torn == 1
-
-    def test_corrupt_payload_voids_the_tail(self, tmp_path):
-        with CampaignJournal(tmp_path, "k") as journal:
-            journal.open(resume=False)
-            journal.append("01-01", "good")
-            journal.append("01-02", "flipped")
-        path = tmp_path / "journal.bin"
-        blob = bytearray(path.read_bytes())
-        blob[-3] ^= 0xFF  # bit flip inside the last payload
-        path.write_bytes(bytes(blob))
-        assert CampaignJournal(tmp_path, "k").entries() == {"01-01": "good"}
-
-    def test_resume_rejects_foreign_checkpoint(self, tmp_path):
-        with CampaignJournal(tmp_path, "digest-a") as journal:
-            journal.open(resume=False)
-        other = CampaignJournal(tmp_path, "digest-b")
-        with pytest.raises(CheckpointError):
-            other.open(resume=True)
-
-    def test_fresh_open_truncates_previous_journal(self, tmp_path):
-        with CampaignJournal(tmp_path, "k") as journal:
-            journal.open(resume=False)
-            journal.append("01-01", "stale")
-        with CampaignJournal(tmp_path, "k") as journal:
-            journal.open(resume=False)
-        assert CampaignJournal(tmp_path, "k").entries() == {}
-
-    def test_append_requires_open(self, tmp_path):
-        journal = CampaignJournal(tmp_path, "k")
-        with pytest.raises(CheckpointError):
-            journal.append("01-01", 1)
-
-    def test_resume_truncates_torn_tail_for_later_resumes(self, tmp_path):
-        # Regression: a resume used to append new frames *after* the torn
-        # bytes, where frame iteration (which stops at the first bad
-        # frame) could never reach them — a second crash lost everything
-        # the resumed run had journaled.
-        with CampaignJournal(tmp_path, "k") as journal:
-            journal.open(resume=False)
-            journal.append("01-01", "a")
-        with open(tmp_path / "journal.bin", "ab") as fh:
-            fh.write(b"\xffGARBAGE")  # crash mid-append left a torn tail
-        first = CampaignJournal(tmp_path, "k")
-        assert first.open(resume=True) == {"01-01": "a"}
-        assert first.n_torn == 1
-        first.append("01-02", "b")
-        first.close()
-        second = CampaignJournal(tmp_path, "k")
-        assert second.open(resume=True) == {"01-01": "a", "01-02": "b"}
-        assert second.n_torn == 0
-        second.close()
-
-
-# ---------------------------------------------------------------------------
 # FileLock
 # ---------------------------------------------------------------------------
 
@@ -536,30 +463,30 @@ class TestFileLock:
 
 @pytest.fixture(scope="module")
 def chaos_checkpoint_campaign(tmp_path_factory, quick_campaign):
-    """One supervised run: a node crashing twice, journaled throughout."""
-    ckpt = tmp_path_factory.mktemp("ckpt")
+    """One supervised run: a node crashing twice, streamed throughout."""
+    stream = tmp_path_factory.mktemp("stream")
     victim = sorted(quick_campaign.tracks)[0]
     result = run_campaign(
         quick_campaign.config,
         retry=FAST_RETRY,
         chaos=chaos.raise_on(victim, n_failures=2),
-        checkpoint_dir=ckpt,
+        stream_to=stream,
     )
-    return result, ckpt, victim
+    return result, stream, victim
 
 
 class TestCampaignFaultTolerance:
     def test_sub_budget_chaos_is_bit_identical(
         self, quick_campaign, chaos_checkpoint_campaign
     ):
-        result, _ckpt, _victim = chaos_checkpoint_campaign
+        result, _stream, _victim = chaos_checkpoint_campaign
         assert result.degraded is None
         _assert_archives_identical(quick_campaign, result)
         _assert_tracks_identical(quick_campaign, result)
         assert result.n_observations == quick_campaign.n_observations
 
     def test_metrics_count_the_recoveries(self, chaos_checkpoint_campaign):
-        result, _ckpt, _victim = chaos_checkpoint_campaign
+        result, _stream, _victim = chaos_checkpoint_campaign
         assert result.metrics.n_retries == 2
         assert result.metrics.n_degraded == 0
         payload = result.metrics.to_dict()
@@ -567,38 +494,74 @@ class TestCampaignFaultTolerance:
         assert payload["n_resumed"] == 0
 
     def test_journal_holds_every_node(self, quick_campaign, chaos_checkpoint_campaign):
-        _result, ckpt, _victim = chaos_checkpoint_campaign
-        journal = CampaignJournal(ckpt, config_digest(quick_campaign.config))
-        assert set(journal.open(resume=True)) == set(quick_campaign.tracks)
-        journal.close()
+        _result, stream, _victim = chaos_checkpoint_campaign
+        assert _committed_units(stream) == {
+            f"unit:{name}" for name in quick_campaign.tracks
+        }
+        ledger = LiveArchive.open(stream).committed_batches
+        assert f"campaign:{config_digest(quick_campaign.config)}" in ledger
 
     def test_resume_replays_the_whole_journal_bit_identically(
         self, quick_campaign, chaos_checkpoint_campaign
     ):
-        _result, ckpt, _victim = chaos_checkpoint_campaign
-        resumed = run_campaign(
-            quick_campaign.config, checkpoint_dir=ckpt, resume=True
-        )
+        _result, stream, _victim = chaos_checkpoint_campaign
+        resumed = run_campaign(quick_campaign.config, stream_to=stream)
         assert resumed.metrics.n_resumed == len(quick_campaign.tracks)
+        assert resumed.metrics.node_seconds == {}  # simulated nothing
         _assert_archives_identical(quick_campaign, resumed)
         _assert_tracks_identical(quick_campaign, resumed)
+        assert resumed.n_observations == quick_campaign.n_observations
 
-    def test_torn_journal_tail_recomputes_only_the_lost_node(
-        self, quick_campaign, chaos_checkpoint_campaign, tmp_path
-    ):
-        import shutil
-
-        _result, ckpt, _victim = chaos_checkpoint_campaign
-        torn = tmp_path / "torn-ckpt"
-        shutil.copytree(ckpt, torn)
-        chaos.tear_file(torn / "journal.bin", 100)
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_degraded_stream_resumes(self, quick_campaign, tmp_path, backend):
+        # A process resume takes the committed units' tracks from the
+        # parent's own block pass, not from any worker.
+        victim = sorted(quick_campaign.tracks)[0]
+        stream = tmp_path / "stream"
+        first = run_campaign(
+            quick_campaign.config,
+            workers=2,
+            backend=backend,
+            retry=RetryPolicy(retries=0),
+            chaos=chaos.always_raise(victim),
+            stream_to=stream,
+        )
+        assert first.degraded.names() == [victim]
         resumed = run_campaign(
-            quick_campaign.config, checkpoint_dir=torn, resume=True
+            quick_campaign.config, workers=2, backend=backend, stream_to=stream
         )
         n = len(quick_campaign.tracks)
         assert resumed.metrics.n_resumed == n - 1  # exactly one recomputed
+        assert set(resumed.metrics.node_seconds) == {victim}
+        assert resumed.degraded is None
         _assert_archives_identical(quick_campaign, resumed)
         _assert_tracks_identical(quick_campaign, resumed)
+        assert resumed.n_observations == quick_campaign.n_observations
+
+    def test_lost_catalogue_node_defers_the_catalogue_to_the_resume(
+        self, quick_campaign, tmp_path
+    ):
+        """The Table I catalogue is resolved over the whole population, so
+        a run that loses a node carrying a catalogue fault must leave it
+        uncommitted for the resume to resolve."""
+        from repro.faultinjection.campaign import _CampaignContext
+
+        plans = _CampaignContext(quick_campaign.config).plans
+        victim = sorted({plan.node for plan in plans} & set(quick_campaign.tracks))[0]
+        stream = tmp_path / "stream"
+        first = run_campaign(
+            quick_campaign.config,
+            retry=RetryPolicy(retries=0),
+            chaos=chaos.always_raise(victim),
+            stream_to=stream,
+        )
+        assert first.degraded.names() == [victim]
+        assert "catalogue" not in LiveArchive.open(stream).committed_batches
+        resumed = run_campaign(quick_campaign.config, stream_to=stream)
+        assert resumed.metrics.n_resumed == len(quick_campaign.tracks) - 1
+        _assert_archives_identical(quick_campaign, resumed)
+        _assert_tracks_identical(quick_campaign, resumed)
+        assert resumed.n_observations == quick_campaign.n_observations
 
     def test_above_budget_degrades_instead_of_raising(self, quick_campaign):
         victim = sorted(quick_campaign.tracks)[0]
@@ -624,11 +587,11 @@ class TestCampaignFaultTolerance:
             ]
 
     def test_resume_against_wrong_config_refuses(self, chaos_checkpoint_campaign):
-        _result, ckpt, _victim = chaos_checkpoint_campaign
+        _result, stream, _victim = chaos_checkpoint_campaign
+        before = LiveArchive.open(stream).manifest
         with pytest.raises(CheckpointError):
-            run_campaign(
-                quick_campaign_config(seed=12345), checkpoint_dir=ckpt, resume=True
-            )
+            run_campaign(quick_campaign_config(seed=12345), stream_to=stream)
+        assert LiveArchive.open(stream).manifest == before
 
 
 class TestDegradedResultsStayOutOfTheCache:
@@ -708,7 +671,8 @@ run_campaign(
     quick_campaign_config(int(sys.argv[2])),
     workers=2,
     backend="process",
-    checkpoint_dir=sys.argv[1],
+    stream_to=sys.argv[1],
+    stream_flush_nodes=16,
 )
 """
 
@@ -734,28 +698,29 @@ class TestKillRecovery:
     ):
         """SIGKILL the whole driver mid-campaign; its pool workers must exit
         too, and resume must complete the run bit-identically from whatever
-        the journal made durable."""
-        ckpt = tmp_path / "ckpt"
+        the stream's ledger made durable."""
+        stream = tmp_path / "stream"
         src = str(Path(__file__).resolve().parents[1] / "src")
         seed = quick_campaign.config.seed
         # Its own session: every process the driver starts can be found.
+        # Its own TMPDIR: the killed driver never removes its shard arena.
         driver = subprocess.Popen(
-            [sys.executable, "-c", _DRIVER_SCRIPT, str(ckpt), str(seed), src],
+            [sys.executable, "-c", _DRIVER_SCRIPT, str(stream), str(seed), src],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             start_new_session=True,
+            env={**os.environ, "TMPDIR": str(tmp_path)},
         )
         try:
-            journal_path = ckpt / "journal.bin"
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if journal_path.exists() and journal_path.stat().st_size > 0:
+                if _committed_units(stream):
                     break
                 if driver.poll() is not None:
                     pytest.fail("driver finished before it could be killed")
                 time.sleep(0.02)
             else:
-                pytest.fail("journal never appeared")
+                pytest.fail("no unit batch was ever committed")
             driver.send_signal(signal.SIGKILL)
             driver.wait(timeout=60)
             deadline = time.monotonic() + 20
@@ -773,15 +738,11 @@ class TestKillRecovery:
                 driver.kill()
             driver.wait(timeout=60)
 
-        journal = CampaignJournal(ckpt, config_digest(quick_campaign.config))
-        durable = journal.open(resume=True)
-        journal.close()
+        durable = _committed_units(stream)
         assert durable  # the poll loop guaranteed at least one entry
         assert len(durable) < len(quick_campaign.tracks)  # killed mid-run
 
-        resumed = run_campaign(
-            quick_campaign.config, checkpoint_dir=ckpt, resume=True
-        )
+        resumed = run_campaign(quick_campaign.config, stream_to=stream)
         assert resumed.metrics.n_resumed == len(durable)
         assert resumed.degraded is None
         _assert_archives_identical(quick_campaign, resumed)
