@@ -1163,12 +1163,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(compact with `repro compact --dir {args.stream_out}`)"
             )
         if args.out is not None:
-            # A streamed result carries a columnar archive; both flavours
-            # render the same per-node text logs.
-            if hasattr(result.archive, "write_text_directory"):
-                result.archive.write_text_directory(args.out)
-            else:
-                result.archive.write_directory(args.out)
+            result.archive.write_text_directory(args.out)
             print(
                 f"wrote logs for {len(result.archive.nodes)} nodes to {args.out} "
                 f"({result.n_raw_error_lines():,} raw error lines compressed "

@@ -75,19 +75,12 @@ _ANALYSES: dict[str, StudyAnalysis] = {}
 
 
 def _cacheable(result: CampaignResult) -> CampaignResult:
-    """A copy worth persisting: no derived frames, no run-local metrics.
-
-    The archive is converted to columnar form before pickling: cache
-    entries then hold a handful of NumPy arrays per node instead of
-    millions of record dataclasses, and reloads rebuild the raw
-    :class:`~repro.logs.frame.ErrorFrame` vectorized — no per-record
-    Python loop on the hot analysis path.
-    """
+    """A copy worth persisting: no derived frames, no run-local metrics."""
     return CampaignResult(
         config=result.config,
         registry=result.registry,
         tracks=result.tracks,
-        archive=result.columnar_archive(),
+        archive=result.archive,
         n_observations=result.n_observations,
     )
 

@@ -7,9 +7,9 @@ Orchestrates every substrate into the study the paper ran:
    stochastics, including the catalogue's pinned sessions and the
    degrading node's monitoring gaps;
 3. run every fault model against the session tracks;
-4. render observations into scanner ERROR records (addresses through the
+4. render observations into scanner ERROR columns (addresses through the
    per-node address map, temperatures through the environment model) and
-   collect them into a per-node log archive.
+   assemble them into a per-node columnar archive.
 
 The result object carries both the logs (what the study's disks held) and
 the session tracks (ground-truth coverage), which the analysis package
@@ -19,7 +19,7 @@ Execution
 ---------
 
 Steps 2-4 are *per-node independent*: every node's session track, fault
-models and record rendering consume only per-node RNG streams (pure
+models and column rendering consume only per-node RNG streams (pure
 functions of ``(seed, key)``).  Step 2 runs a block of nodes at a time
 (a block's arrays in one pass, each node's streams drawn as on its own),
 once per process; steps 3-4 fan out per node over the
@@ -32,7 +32,6 @@ archives and tracks.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -42,18 +41,19 @@ import numpy as np
 
 from ..cluster.registry import ClusterRegistry
 from ..cluster.topology import OVERHEATING_SOC, NodeId
-from ..core.records import EndRecord, ErrorRecord, StartRecord
 from ..core.rng import RngFactory
 from ..core.units import SCAN_TARGET_MB
 from ..dram.addressing import AddressMap, stable_salt
 from ..environment.temperature import TemperatureModel
-from ..logs.columnar import ColumnarArchive, RecordColumns
+from ..logs.columnar import (
+    KIND_ERROR,
+    ColumnarArchive,
+    RecordColumns,
+    canonical_sort_order,
+)
 from ..logs.frame import ErrorFrame
-from ..logs.store import LogArchive
 from ..parallel import (
     RetryPolicy,
-    ShardArena,
-    ShardTicket,
     parallel_map,
     resolve_backend,
     resolve_workers,
@@ -94,11 +94,6 @@ def _blocks(names: list[str], n_days: int):
     per_block = max(1, BLOCK_NODE_DAYS // max(1, n_days))
     for lo in range(0, len(names), per_block):
         yield names[lo : lo + per_block]
-
-
-def _logged(temperature_c: float) -> float | None:
-    """A record's temperature field: None where the reading is NaN."""
-    return None if math.isnan(temperature_c) else temperature_c
 
 
 @dataclass(frozen=True)
@@ -157,12 +152,20 @@ class CampaignMetrics:
         }
 
     def summary(self) -> str:
+        """One line: the nodes this run simulated, its records and its rate.
+
+        Resumed units were not simulated, so they leave the node count,
+        and a run that resumed any reports no records/s: its archive holds
+        records the run did not produce.
+        """
         text = (
-            f"{self.n_nodes} nodes in {self.wall_seconds:.2f} s "
+            f"{self.n_nodes - self.n_resumed} nodes in {self.wall_seconds:.2f} s "
             f"({self.backend}, workers={self.workers}; "
-            f"{self.n_records:,} records, "
-            f"{self.records_per_second:,.0f} records/s)"
+            f"{self.n_records:,} records"
         )
+        if not self.n_resumed:
+            text += f", {self.records_per_second:,.0f} records/s"
+        text += ")"
         extras = []
         if self.n_resumed:
             extras.append(f"{self.n_resumed} units resumed from the stream")
@@ -230,10 +233,9 @@ class CampaignResult:
     config: CampaignConfig
     registry: ClusterRegistry
     tracks: dict[str, SessionTrack]
-    #: Fresh runs carry the record-object archive; results reloaded from
-    #: the campaign cache carry its columnar twin (same query API, and
-    #: ``error_frame`` is bit-identical between the two).
-    archive: LogArchive | ColumnarArchive
+    #: Every node's records, assembled in memory or read from the stream
+    #: directory (lazily) on a streamed run.
+    archive: ColumnarArchive
     n_observations: int
     _frames: dict = field(default_factory=dict, repr=False)
     #: Execution counters of the run that produced this result (None for
@@ -251,12 +253,7 @@ class CampaignResult:
         return self.archive.n_raw_error_lines()
 
     def raw_frame(self) -> ErrorFrame:
-        """All ERROR records as an array table (pre-extraction).
-
-        Dispatches to the archive's own ``error_frame`` — the vectorized
-        columnar path when the result came from the cache, the record
-        loop on fresh runs; both produce bit-identical frames.
-        """
+        """All ERROR records as an array table (pre-extraction)."""
         if "raw" not in self._frames:
             self._frames["raw"] = self.archive.error_frame().sorted_by_time()
         return self._frames["raw"]
@@ -287,58 +284,6 @@ class CampaignResult:
     @cached_property
     def study_hours(self) -> float:
         return self.config.n_days * 24.0
-
-    # -- persistence -------------------------------------------------------
-
-    def columnar_archive(self) -> ColumnarArchive:
-        """The archive in columnar form (no-op if already columnar)."""
-        if isinstance(self.archive, ColumnarArchive):
-            return self.archive
-        return ColumnarArchive.from_log_archive(self.archive)
-
-    def save(self, path) -> None:
-        """Persist the campaign (config, tracks, logs) to a directory.
-
-        Pickle is appropriate here: the artifact is a local checkpoint of
-        a deterministic simulation, not an interchange format — the log
-        directory written by :meth:`LogArchive.write_directory` remains
-        the portable representation.  The archive is stored columnar:
-        pickling a handful of NumPy arrays per node is far smaller and
-        faster than pickling millions of record dataclasses.
-        """
-        import pickle
-        from pathlib import Path
-
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "config": self.config,
-            "tracks": self.tracks,
-            "archive": self.columnar_archive(),
-            "n_observations": self.n_observations,
-            "degraded": self.degraded,
-        }
-        with open(directory / "campaign.pkl", "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def load(cls, path) -> "CampaignResult":
-        """Reload a campaign saved with :meth:`save`."""
-        import pickle
-        from pathlib import Path
-
-        from ..cluster.registry import ClusterRegistry
-
-        with open(Path(path) / "campaign.pkl", "rb") as fh:
-            payload = pickle.load(fh)
-        return cls(
-            config=payload["config"],
-            registry=ClusterRegistry(payload["config"].topology),
-            tracks=payload["tracks"],
-            archive=payload["archive"],
-            n_observations=payload["n_observations"],
-            degraded=payload.get("degraded"),
-        )
 
 
 def _insert_pinned(track: SessionTrack, pinned) -> SessionTrack:
@@ -377,9 +322,8 @@ class _CampaignContext:
     pickling it into every task.
     """
 
-    def __init__(self, config: CampaignConfig, materialize_lifecycle: bool = False):
+    def __init__(self, config: CampaignConfig):
         self.config = config
-        self.materialize_lifecycle = materialize_lifecycle
         self.rngs = RngFactory(config.seed)
         self.registry = ClusterRegistry(config.topology)
         self.scheduler = BatchScheduler(
@@ -465,66 +409,41 @@ class _CampaignContext:
         )
         return [_insert_pinned(track, self.pinned.get(track.node)) for track in tracks]
 
-    def render(self, observations: list[Observation]) -> list[ErrorRecord]:
-        """Observations -> ERROR records (addresses + temperature).
+    def render(self, observations: list[Observation]) -> RecordColumns:
+        """Observations -> ERROR columns (addresses + temperature).
 
         Addresses are mapped, and temperatures read, with one array call
-        per node.
+        per node; node codes follow each node's first observation.
         """
+        n = len(observations)
         rows_by_node: dict[str, list[int]] = {}
         for i, obs in enumerate(observations):
             rows_by_node.setdefault(obs.node, []).append(i)
         words = np.array([obs.word_index for obs in observations], dtype=np.int64)
         times = np.array([obs.time_hours for obs in observations], dtype=np.float64)
-        virtual = np.zeros(len(observations), dtype=np.int64)
-        page = np.zeros(len(observations), dtype=np.int64)
-        temperature = np.empty(len(observations), dtype=np.float64)
-        for name, rows in rows_by_node.items():
+        va = np.empty(n, dtype=np.int64)
+        pp = np.empty(n, dtype=np.int64)
+        temp = np.empty(n, dtype=np.float64)
+        node_code = np.empty(n, dtype=np.int32)
+        for code, (name, rows) in enumerate(rows_by_node.items()):
             amap = self.address_map(name)
-            virtual[rows] = amap.virtual_address(words[rows])
-            page[rows] = amap.physical_page(words[rows])
-            temperature[rows] = self.temperature.reading(self.node_id(name), times[rows])
-        return [
-            ErrorRecord(
-                timestamp_hours=obs.time_hours,
-                node=obs.node,
-                virtual_address=va,
-                physical_page=pp,
-                expected=obs.expected,
-                actual=obs.actual,
-                temperature_c=_logged(tc),
-                repeat_count=obs.repeat_count,
-            )
-            for obs, va, pp, tc in zip(
-                observations, virtual.tolist(), page.tolist(), temperature.tolist()
-            )
-        ]
-
-    def lifecycle(self, track: SessionTrack) -> list:
-        """START/END records of a track's sessions, temperatures in one call."""
-        n = track.n_sessions
-        starts, ends = track.starts.tolist(), track.ends.tolist()
-        temperature = self.temperature.reading(
-            self.node_id(track.node), np.concatenate([track.starts, track.ends])
-        ).tolist()
-        records: list = []
-        for i, mb in enumerate(track.alloc_mb.tolist()):
-            records.append(
-                StartRecord(
-                    timestamp_hours=starts[i],
-                    node=track.node,
-                    allocated_mb=mb,
-                    temperature_c=_logged(temperature[i]),
-                )
-            )
-            records.append(
-                EndRecord(
-                    timestamp_hours=ends[i],
-                    node=track.node,
-                    temperature_c=_logged(temperature[n + i]),
-                )
-            )
-        return records
+            va[rows] = amap.virtual_address(words[rows])
+            pp[rows] = amap.physical_page(words[rows])
+            temp[rows] = self.temperature.reading(self.node_id(name), times[rows])
+            node_code[rows] = code
+        return RecordColumns(
+            kind=np.full(n, KIND_ERROR, dtype=np.uint8),
+            t=times,
+            temp=temp,
+            mb=np.zeros(n, dtype=np.int64),
+            va=va,
+            pp=pp,
+            expected=np.array([obs.expected for obs in observations], dtype=np.uint32),
+            actual=np.array([obs.actual for obs in observations], dtype=np.uint32),
+            rep=np.array([obs.repeat_count for obs in observations], dtype=np.int64),
+            node_code=node_code,
+            node_names=list(rows_by_node),
+        )
 
 
 @dataclass
@@ -533,18 +452,14 @@ class _NodeResult:
 
     node: str
     track: SessionTrack
-    n_observations: int
-    records: list[ErrorRecord]
-    lifecycle: list
+    #: The node's ERROR rows, one per observation (None once a streamed
+    #: run has taken them into its flush window).
+    columns: RecordColumns | None
     seconds: float
-    #: Claim check for columns the worker spilled to the shard arena
-    #: instead of pickling through the result (``records``/``lifecycle``
-    #: are then already empty).
-    shard: ShardTicket | None = None
 
 
 def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
-    """The embarrassingly-parallel unit: one node's faults and records.
+    """The embarrassingly-parallel unit: one node's faults and ERROR rows.
 
     The node's session track comes from the context's block pass.  The
     unit consumes only per-node RNG streams (``bg/<n>``, ``weak/<n>``)
@@ -582,14 +497,10 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
         )
 
     # -- render -------------------------------------------------------------
-    records = ctx.render(observations)
-    lifecycle = ctx.lifecycle(track) if ctx.materialize_lifecycle else []
     return _NodeResult(
         node=name,
         track=track,
-        n_observations=len(observations),
-        records=records,
-        lifecycle=lifecycle,
+        columns=ctx.render(observations),
         seconds=time.perf_counter() - t_begin,
     )
 
@@ -597,49 +508,16 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
 #: Per-process context for the process backend (set by the pool initializer).
 _WORKER_CTX: _CampaignContext | None = None
 
-#: Spill arena for streaming process runs (set alongside the context).
-_WORKER_ARENA: ShardArena | None = None
 
-def _init_worker(config: CampaignConfig, materialize_lifecycle: bool) -> None:
+def _init_worker(config: CampaignConfig) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = _CampaignContext(config, materialize_lifecycle)
+    _WORKER_CTX = _CampaignContext(config)
     _WORKER_CTX.tracks()
-
-
-def _init_worker_streaming(
-    config: CampaignConfig, materialize_lifecycle: bool, arena_root: str
-) -> None:
-    global _WORKER_ARENA
-    _init_worker(config, materialize_lifecycle)
-    _WORKER_ARENA = ShardArena(arena_root)
 
 
 def _node_worker(name: str) -> _NodeResult:
     assert _WORKER_CTX is not None, "worker used before initialization"
     return _simulate_node(_WORKER_CTX, name)
-
-
-def _node_worker_spill(name: str) -> _NodeResult:
-    """Streaming process unit: columnarize + spill in the worker.
-
-    The worker does the columnarization (in parallel, instead of the
-    supervising process) and ships the arrays through the shard arena;
-    only the small :class:`~repro.parallel.ShardTicket` rides the result
-    pickle, so handoff cost no longer scales with a node's record count.
-    """
-    assert _WORKER_ARENA is not None, "spill worker used before initialization"
-    result = _node_worker(name)
-    columns = RecordColumns.from_records(
-        list(result.records) + list(result.lifecycle)
-    )
-    result.records = []
-    result.lifecycle = []
-    result.shard = _WORKER_ARENA.spill(
-        name.replace("/", "_"),
-        columns.to_arrays(),
-        meta={"node_names": list(columns.node_names)},
-    )
-    return result
 
 
 def _open_stream(path: str | Path, config: CampaignConfig):
@@ -672,7 +550,6 @@ def _open_stream(path: str | Path, config: CampaignConfig):
 
 def run_campaign(
     config: CampaignConfig | None = None,
-    materialize_lifecycle: bool = False,
     workers: int | None = None,
     backend: str | None = None,
     *,
@@ -684,13 +561,12 @@ def run_campaign(
 ) -> CampaignResult:
     """Simulate the full study and return its logs and coverage.
 
-    ``materialize_lifecycle`` additionally writes START/END records into
-    the archive (memory-heavy at paper scale; useful for round-trip tests
-    on small configurations).
-
     ``workers``/``backend`` override the config's execution fields: the
     per-node phase fans out over :func:`repro.parallel.parallel_map`.
-    Results are bit-identical across backends for the same seed.
+    Results are bit-identical across backends for the same seed.  Each
+    unit returns its ERROR rows as :class:`RecordColumns`, so process
+    workers hand back arrays.  The in-memory archive is one concatenation
+    of the unit columns and the catalogue's, sorted per node.
 
     Fault tolerance (any of ``retry``/``unit_timeout``/``chaos``/
     ``stream_to`` routes the per-node fan-out through
@@ -708,13 +584,13 @@ def run_campaign(
 
     ``stream_to`` routes finished units straight into a live columnar
     archive (:class:`repro.logs.ingest.LiveArchive`) instead of holding
-    every node's records in parent RAM: each unit's records are
-    columnarized and stripped from the in-memory result as they arrive,
-    and every ``stream_flush_nodes`` completed units are committed as
-    one level-0 segment.  The returned :class:`CampaignResult` then
-    carries a lazily-loaded :class:`ColumnarArchive` over that
-    directory — bit-identical, record for record, to the batch
-    archive the same configuration would assemble in memory.
+    every node's records in parent RAM: each unit's columns leave the
+    in-memory result as they arrive, and every ``stream_flush_nodes``
+    completed units are committed as one level-0 segment.  The returned
+    :class:`CampaignResult` then carries a lazily-loaded
+    :class:`ColumnarArchive` over that directory — bit-identical, record
+    for record, to the archive the same configuration assembles in
+    memory.
 
     The stream directory is also the campaign's checkpoint.  Its ledger
     names the campaign (``campaign:<config digest>``, committed before
@@ -725,15 +601,10 @@ def run_campaign(
     their tracks come from the parent's block pass) and simulates the
     rest, so a killed or degraded campaign resumes bit-identically by
     running it again.  The digest leaves out ``workers``/``backend``: a
-    run killed on 8 processes can resume serially.  ``n_observations``
-    is the archive's ERROR-record count (one per observation).
+    run killed on 8 processes can resume serially.
 
-    On the process backend, streamed units hand their columns over
-    through a :class:`repro.parallel.ShardArena`: the worker
-    columnarizes and spills ``.npy`` files, only a small ticket rides
-    the result pickle, and the parent claims the arrays back as
-    memory-mapped views — transfer cost stops scaling with record
-    count.
+    ``n_observations`` is the archive's ERROR-record count (one per
+    observation).
     """
     t_begin = time.perf_counter()
     config = config or paper_campaign_config()
@@ -743,7 +614,7 @@ def run_campaign(
         backend if backend is not None else config.backend, n_workers
     )
 
-    ctx = _CampaignContext(config, materialize_lifecycle)
+    ctx = _CampaignContext(config)
     names = list(ctx.nodes_by_name)
     supervise = (
         retry is not None
@@ -758,111 +629,63 @@ def run_campaign(
     # -- parallel phase: per-node models + rendering -----------------------
     # Every process (the serial/thread parent or each process worker)
     # builds all session tracks once, in blocks, before its first unit.
+    if exec_backend == "process":
+        fn, initializer, initargs = _node_worker, _init_worker, (config,)
+    else:
+        fn, initializer, initargs = (
+            lambda name: _simulate_node(ctx, name), ctx.tracks, ()
+        )
     if not supervise:
-        if exec_backend == "process":
-            results: list[_NodeResult] = parallel_map(
-                _node_worker,
-                names,
-                backend="process",
-                workers=n_workers,
-                initializer=_init_worker,
-                initargs=(config, materialize_lifecycle),
-            )
-        else:
-            results = parallel_map(
-                lambda name: _simulate_node(ctx, name),
-                names,
-                backend=exec_backend,
-                workers=n_workers,
-                initializer=ctx.tracks,
-            )
+        results: list[_NodeResult] = parallel_map(
+            fn,
+            names,
+            backend=exec_backend,
+            workers=n_workers,
+            initializer=initializer,
+            initargs=initargs,
+        )
     else:
         remaining = names
         on_result = None
-        arena: ShardArena | None = None
         if stream_to is not None:
             live = _open_stream(stream_to, config)
             committed = set(live.committed_batches)
             remaining = [name for name in names if f"unit:{name}" not in committed]
             n_resumed = len(names) - len(remaining)
             flush_every = max(1, int(stream_flush_nodes))
-            window: list[tuple[str, RecordColumns, ShardTicket | None]] = []
-            if exec_backend == "process":
-                arena = ShardArena.create()
+            window: dict[str, RecordColumns] = {}
 
             def _flush_stream() -> None:
-                if not window:
-                    return
-                live.append_batch({f"unit:{key}": cols for key, cols, _ in window})
-                # Claimed arrays are mmap-backed: release each spill only
-                # once append_batch has copied it into the archive.
-                for _key, _cols, ticket in window:
-                    if ticket is not None:
-                        arena.release(ticket)
-                window.clear()
+                if window:
+                    live.append_batch(
+                        {f"unit:{key}": cols for key, cols in window.items()}
+                    )
+                    window.clear()
 
             def on_result(_i, key, value) -> None:
-                ticket = value.shard
-                if ticket is not None:
-                    # The worker already columnarized and spilled this
-                    # unit; claim the arrays back as read-only mmaps.
-                    cols = RecordColumns.from_arrays(
-                        arena.claim(ticket), ticket.meta["node_names"]
-                    )
-                else:
-                    cols = RecordColumns.from_records(
-                        list(value.records) + list(value.lifecycle)
-                    )
-                # Strip in place: `value` is the same object the
+                # Take the columns out of `value`, the object the
                 # supervisor keeps in its outcome, so the parent never
                 # holds more than one flush window of records in RAM.
-                value.records = []
-                value.lifecycle = []
-                window.append((key, cols, ticket))
+                window[key] = value.columns
+                value.columns = None
                 if len(window) >= flush_every:
                     _flush_stream()
 
-        try:
-            if exec_backend == "process":
-                if arena is not None:
-                    worker_fn = _node_worker_spill
-                    worker_init = _init_worker_streaming
-                    worker_initargs = (config, materialize_lifecycle, arena.root)
-                else:
-                    worker_fn = _node_worker
-                    worker_init = _init_worker
-                    worker_initargs = (config, materialize_lifecycle)
-                outcome = supervised_map(
-                    worker_fn,
-                    remaining,
-                    keys=remaining,
-                    backend="process",
-                    workers=n_workers,
-                    initializer=worker_init,
-                    initargs=worker_initargs,
-                    retry=retry,
-                    unit_timeout=unit_timeout,
-                    chaos=chaos,
-                    on_unit_result=on_result,
-                )
-            else:
-                outcome = supervised_map(
-                    lambda name: _simulate_node(ctx, name),
-                    remaining,
-                    keys=remaining,
-                    backend=exec_backend,
-                    workers=n_workers,
-                    initializer=ctx.tracks,
-                    retry=retry,
-                    unit_timeout=unit_timeout,
-                    chaos=chaos,
-                    on_unit_result=on_result,
-                )
-            if stream_to is not None:
-                _flush_stream()  # the tail window
-        finally:
-            if arena is not None:
-                arena.close()
+        outcome = supervised_map(
+            fn,
+            remaining,
+            keys=remaining,
+            backend=exec_backend,
+            workers=n_workers,
+            initializer=initializer,
+            initargs=initargs,
+            retry=retry,
+            unit_timeout=unit_timeout,
+            chaos=chaos,
+            on_unit_result=on_result,
+        )
+        if stream_to is not None:
+            _flush_stream()  # the tail window
 
         results = [value for value in outcome.values if value is not None]
         n_retries = outcome.n_retries
@@ -900,21 +723,15 @@ def run_campaign(
         # run that lost a node carrying a catalogue fault leaves it
         # uncommitted: once in the ledger, a resume could not replace it.
         if not lost & {plan.node for plan in ctx.plans}:
-            live.append_batch({"catalogue": RecordColumns.from_records(catalogue)})
-        archive: LogArchive | ColumnarArchive = ColumnarArchive.load(
-            stream_to, lazy=True
-        )
-        n_observations = archive.n_errors()
+            live.append_batch({"catalogue": catalogue})
+        archive = ColumnarArchive.load(stream_to, lazy=True)
     else:
-        archive = LogArchive()
-        for result in results:
-            archive.extend(result.records)
-        archive.extend(catalogue)
-        for result in results:
-            archive.extend(result.lifecycle)
-        archive.sort()
-        n_observations = sum(result.n_observations for result in results)
-        n_observations += len(catalogue)
+        # Per node, canonical order; rows tied on time and kind keep the
+        # concatenation's order (units, then the catalogue).
+        merged = RecordColumns.concat([r.columns for r in results] + [catalogue])
+        order = canonical_sort_order(merged.t, merged.kind, group=merged.node_code)
+        archive = ColumnarArchive(merged.take(order).split_by_node())
+    n_observations = archive.n_errors()
 
     wall = time.perf_counter() - t_begin
     node_seconds = {result.node: result.seconds for result in results}

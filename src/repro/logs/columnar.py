@@ -209,39 +209,6 @@ class RecordColumns:
                 )
         return staging.build()
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Every array column by name (``node_names`` travels separately).
-
-        The serialization view used by the shard-arena handoff: the
-        arrays spill to per-unit ``.npy`` files and
-        :meth:`from_arrays` rebuilds the columns from their
-        memory-mapped twins.
-        """
-        arrays = {name: getattr(self, name) for name in SHARD_COLUMNS}
-        arrays["node_code"] = self.node_code
-        return arrays
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: dict[str, np.ndarray],
-        node_names: Sequence[str],
-    ) -> "RecordColumns":
-        """Rebuild columns from :meth:`to_arrays` output.
-
-        Accepts memory-mapped arrays unchanged when the dtype already
-        matches (``np.asarray`` is a no-copy view then), so a claimed
-        shard stays zero-copy until its rows are actually consumed.
-        """
-        return cls(
-            **{
-                name: np.asarray(arrays[name], dtype=dt)
-                for name, dt in SHARD_COLUMNS.items()
-            },
-            node_code=np.asarray(arrays["node_code"], dtype=np.int32),
-            node_names=list(node_names),
-        )
-
     @classmethod
     def concat(cls, parts: Sequence["RecordColumns"]) -> "RecordColumns":
         """Concatenate batches, re-interning node codes across parts."""

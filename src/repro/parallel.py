@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
-import tempfile
 import threading
 import time
 from concurrent.futures import (
@@ -44,9 +42,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterable, Sequence
 
 from .core.errors import ConfigurationError
 
@@ -161,110 +157,6 @@ def parallel_map(
     chunksize = max(1, len(items) // (workers * 4))
     with _process_pool(workers, initializer, initargs) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory shard handoff for the process backend
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardTicket:
-    """A picklable claim check for arrays spilled by a worker process.
-
-    Only this small handle crosses the process boundary; the arrays
-    themselves stay on disk as ``.npy`` files, and the supervising
-    process maps them back with ``mmap_mode="r"`` — so result transfer
-    costs O(ticket) pickling instead of O(rows) regardless of how many
-    records a unit produced.
-    """
-
-    token: str
-    path: str
-    arrays: tuple[str, ...]
-    meta: dict
-
-    @property
-    def n_arrays(self) -> int:
-        return len(self.arrays)
-
-
-class ShardArena:
-    """A spill directory shared between workers and their supervisor.
-
-    Workers :meth:`spill` their bulk arrays as one directory of ``.npy``
-    files per unit and return a :class:`ShardTicket`; the supervisor
-    :meth:`claim`\\ s tickets as memory-mapped arrays (zero-copy until
-    touched) and :meth:`release`\\ s each unit once its rows are durable
-    elsewhere.  Spills are atomic (write to ``<token>.tmp``, then
-    ``os.replace``), so a retried unit — the supervisor re-dispatches
-    after worker deaths — simply replaces its own spill; bit-identical
-    unit results make the race benign, and a half-written tmp directory
-    from a killed worker is invisible to :meth:`claim`.
-
-    The arena lives under its own directory (usually from
-    :meth:`create`); :meth:`close` removes everything still spilled.
-    """
-
-    def __init__(self, root: str):
-        self.root = str(root)
-
-    @classmethod
-    def create(cls, base_dir: str | None = None) -> "ShardArena":
-        """A fresh arena in a private temporary directory."""
-        return cls(tempfile.mkdtemp(prefix="repro-shards-", dir=base_dir))
-
-    def _unit_dir(self, token: str) -> str:
-        if not token or "/" in token or token.startswith("."):
-            raise ConfigurationError(f"bad shard token {token!r}")
-        return os.path.join(self.root, token)
-
-    def spill(
-        self,
-        token: str,
-        columns: Mapping[str, np.ndarray],
-        meta: dict | None = None,
-    ) -> ShardTicket:
-        """Write ``columns`` to the arena; returns the claim check."""
-        final = self._unit_dir(token)
-        tmp = final + ".tmp"
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        names = tuple(sorted(columns))
-        for name in names:
-            np.save(os.path.join(tmp, f"{name}.npy"), np.asarray(columns[name]))
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        # repro: noqa[RES002]: scratch handoff; a spill torn by a crash is never read — the supervisor re-runs the unit
-        os.replace(tmp, final)
-        return ShardTicket(
-            token=token, path=final, arrays=names, meta=dict(meta or {})
-        )
-
-    def claim(self, ticket: ShardTicket) -> dict[str, np.ndarray]:
-        """Map a ticket's arrays back in, read-only, without copying."""
-        return {
-            # repro: noqa[RES001]: mapping lifetime is the claim holder's — closed when release() drops the spill
-            name: np.load(
-                os.path.join(ticket.path, f"{name}.npy"), mmap_mode="r"
-            )
-            for name in ticket.arrays
-        }
-
-    def release(self, ticket: ShardTicket) -> None:
-        """Drop a unit's spill once its rows are durable elsewhere."""
-        shutil.rmtree(ticket.path, ignore_errors=True)
-
-    def close(self) -> None:
-        """Remove the arena and anything still spilled in it."""
-        shutil.rmtree(self.root, ignore_errors=True)
-
-    def __enter__(self) -> "ShardArena":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------

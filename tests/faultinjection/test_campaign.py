@@ -77,15 +77,6 @@ class TestQuickCampaign:
         if after.any():
             assert not np.isnan(frame.temperature_c[after]).all()
 
-    def test_lifecycle_materialization(self):
-        import dataclasses
-
-        config = quick_campaign_config(seed=5)
-        config = dataclasses.replace(config, n_days=30)
-        result = run_campaign(config, materialize_lifecycle=True)
-        kinds = {r.kind.value for r in result.archive.all_records()}
-        assert {"START", "END"} <= kinds
-
 
 class TestCoverageAccounting:
     def test_tbh_consistency(self, quick_campaign):

@@ -15,6 +15,8 @@ more than one flush window of records.  These tests pin:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache import config_digest
@@ -22,6 +24,7 @@ from repro.cli import main as cli_main
 from repro.core.errors import CheckpointError
 from repro.faultinjection import campaign as campaign_module
 from repro.faultinjection import run_campaign
+from repro.faultinjection.campaign import CampaignMetrics
 from repro.faultinjection.config import quick_campaign_config
 from repro.logs.columnar import ColumnarArchive, RecordColumns
 from repro.logs.ingest import LiveArchive
@@ -33,7 +36,7 @@ def rendering_of_columnar(directory, out) -> dict[str, str]:
 
 
 def rendering_of_batch(result, out) -> dict[str, str]:
-    result.archive.write_directory(out)
+    result.archive.write_text_directory(out)
     return {p.name: p.read_text() for p in out.glob("*.log")}
 
 
@@ -104,6 +107,37 @@ class TestExactlyOnceResume:
         expected = rendering_of_batch(quick_campaign, tmp_path / "batch")
         assert rendering_of_columnar(stream_dir, tmp_path / "resumed") == expected
         assert after.generation >= generation
+
+    def test_resumed_summary_counts_only_simulated_nodes(self, streamed):
+        """Regression: re-running a complete stream reported every node as
+        simulated, with a records/s rate for work it never did."""
+        result, stream_dir = streamed
+        resumed = run_campaign(quick_campaign_config(), stream_to=stream_dir)
+        summary = resumed.metrics.summary()
+        assert summary.startswith("0 nodes in")
+        assert "records/s" not in summary
+        assert f"{len(result.tracks)} units resumed from the stream" in summary
+        assert resumed.metrics.n_nodes == len(result.tracks)
+        assert resumed.metrics.n_records == result.metrics.n_records
+
+    def test_summary_of_a_partial_resume(self):
+        metrics = CampaignMetrics(
+            backend="serial",
+            workers=1,
+            wall_seconds=2.0,
+            simulate_seconds=1.0,
+            n_records=100,
+            n_observations=100,
+            n_nodes=10,
+        )
+        assert metrics.summary() == (
+            "10 nodes in 2.00 s (serial, workers=1; 100 records, 50 records/s)"
+        )
+        partial = replace(metrics, n_resumed=3)
+        assert partial.summary() == (
+            "7 nodes in 2.00 s (serial, workers=1; 100 records) "
+            "[3 units resumed from the stream]"
+        )
 
 
 class TestStreamOwnership:

@@ -91,11 +91,11 @@ class TestSeedSensitivity:
         results = [
             _simulate_node(_CampaignContext(config), name) for _ in range(2)
         ]
-        assert [format_record(r) for r in results[0].records] == [
-            format_record(r) for r in results[1].records
+        assert [format_record(r) for r in results[0].columns.to_records()] == [
+            format_record(r) for r in results[1].columns.to_records()
         ]
         assert np.array_equal(results[0].track.starts, results[1].track.starts)
-        assert results[0].n_observations == results[1].n_observations
+        assert len(results[0].columns) == len(results[1].columns)
 
     def test_different_seeds_diverge(self):
         ctx_a = _CampaignContext(quick_campaign_config(seed=1))

@@ -703,7 +703,8 @@ class TestKillRecovery:
         src = str(Path(__file__).resolve().parents[1] / "src")
         seed = quick_campaign.config.seed
         # Its own session: every process the driver starts can be found.
-        # Its own TMPDIR: the killed driver never removes its shard arena.
+        # Its own TMPDIR: anything the killed driver leaves in the system
+        # temp directory shows up in tmp_path.
         driver = subprocess.Popen(
             [sys.executable, "-c", _DRIVER_SCRIPT, str(stream), str(seed), src],
             stdout=subprocess.DEVNULL,
@@ -741,6 +742,8 @@ class TestKillRecovery:
         durable = _committed_units(stream)
         assert durable  # the poll loop guaranteed at least one entry
         assert len(durable) < len(quick_campaign.tracks)  # killed mid-run
+        # Units come back through the pipe as arrays: no spill files.
+        assert not list(tmp_path.glob("repro-shards-*"))
 
         resumed = run_campaign(quick_campaign.config, stream_to=stream)
         assert resumed.metrics.n_resumed == len(durable)
