@@ -1065,6 +1065,16 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _degraded_exit(campaign, status: int) -> int:
+    """``status``, or 3 with a ``DEGRADED`` line on stderr when the
+    campaign lost nodes: a degraded answer is always flagged."""
+    degraded = campaign.degraded
+    if degraded is not None and degraded.n_failed:
+        print(f"DEGRADED: {degraded.summary()}", file=sys.stderr)
+        return 3
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "logs":
@@ -1177,10 +1187,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             if slowest:  # empty when every unit was resumed
                 print(f"slowest nodes: {slowest}")
-        if result.degraded is not None and result.degraded.n_failed:
-            print(f"DEGRADED: {result.degraded.summary()}", file=sys.stderr)
-            return 3
-        return 0
+        return _degraded_exit(result, 0)
 
     if args.command == "experiment" and args.exp_id not in EXPERIMENT_ORDER:
         # Validate before paying for the campaign.
@@ -1204,29 +1211,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.command == "report":
         print(analysis.report().summary())
-        return 0
-    if args.command == "experiment":
+        status = 0
+    elif args.command == "experiment":
         print(run_experiment(args.exp_id, analysis).to_text())
-        return 0
-    if args.command == "all":
+        status = 0
+    elif args.command == "all":
         for result in run_all(analysis):
             print(result.to_text())
             print()
-        return 0
-    if args.command == "export":
+        status = 0
+    elif args.command == "export":
         from .experiments.export import export_all, export_report
 
         paths = export_all(analysis, args.out)
         report_path = export_report(analysis, args.out)
         print(f"wrote {len(paths)} experiment CSVs and {report_path.name} to {args.out}")
-        return 0
-    if args.command == "verify":
+        status = 0
+    elif args.command == "verify":
         from .experiments.verify import render, verify
 
         results = verify(analysis)
         print(render(results))
-        return 0 if all(r.passed for r in results) else 1
-    return 2
+        status = 0 if all(r.passed for r in results) else 1
+    else:
+        return 2
+    return _degraded_exit(analysis.campaign, status)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

@@ -25,7 +25,6 @@ from ..analysis import spatial
 from ..analysis.extraction import extract
 from ..analysis.report import StudyAnalysis
 from ..cluster.topology import OVERHEATING_SOC, NodeId
-from ..core.records import ErrorRecord
 from ..faultinjection.campaign import run_campaign
 from ..faultinjection.config import quick_campaign_config
 from ..logs.frame import ErrorFrame
@@ -144,30 +143,27 @@ def futurework_swap(analysis: StudyAnalysis) -> ExperimentResult:
 
     # The swap: every observation the faulty component produces after the
     # swap instant is observed on the partner node instead.
-    swapped = []
-    for record in campaign.archive.error_records():
-        node = record.node
-        if record.timestamp_hours >= swap_hours:
-            if node == deg:
-                node = partner
-            elif node == partner:
-                node = deg
-        if node == record.node:
-            swapped.append(record)
-        else:
-            swapped.append(
-                ErrorRecord(
-                    timestamp_hours=record.timestamp_hours,
-                    node=node,
-                    virtual_address=record.virtual_address,
-                    physical_page=record.physical_page,
-                    expected=record.expected,
-                    actual=record.actual,
-                    temperature_c=record.temperature_c,
-                    repeat_count=record.repeat_count,
-                )
-            )
-    frame = ErrorFrame.from_records(swapped)
+    raw = campaign.archive.error_frame()
+    names = list(raw.node_names)
+    for node in (deg, partner):
+        if node not in names:  # a node without errors has no code yet
+            names.append(node)
+    deg_code, partner_code = names.index(deg), names.index(partner)
+    after = raw.time_hours >= swap_hours
+    node_code = raw.node_code.copy()
+    node_code[after & (raw.node_code == deg_code)] = partner_code
+    node_code[after & (raw.node_code == partner_code)] = deg_code
+    frame = ErrorFrame.from_columns(
+        time_hours=raw.time_hours,
+        node_code=node_code,
+        node_names=names,
+        expected=raw.expected,
+        actual=raw.actual,
+        virtual_address=raw.virtual_address,
+        physical_page=raw.physical_page,
+        temperature_c=raw.temperature_c,
+        repeat_count=raw.repeat_count,
+    )
     extraction = extract(frame)
     ext_frame = extraction.frame()
 

@@ -5,10 +5,10 @@ representation, but at paper scale (>25M raw error lines) parsing them
 one :class:`~repro.core.records.LogRecord` dataclass at a time dominates
 wall time and memory.  This module provides the fast path:
 
-* a chunked, memory-bounded **batch parser** that turns ``<node>.log[.gz]``
-  files directly into column arrays — lines are split once, field payloads
-  are sliced off by their fixed prefixes, and numeric conversion happens
-  in bulk, so no per-line record object is ever created;
+* one byte-level **text parser** (:func:`parse_chunk`) that turns
+  ``<node>.log[.gz]`` text directly into column arrays — runs of ERROR
+  lines are validated and converted column-wise straight from the byte
+  buffer, and no per-line record object is ever created;
 * :class:`RecordColumns`, the structure-of-arrays twin of a record list,
   exact enough to round-trip back to the text format bit-for-bit;
 * :class:`ColumnarArchive`, the per-node archive in columnar form, with a
@@ -30,11 +30,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import zipfile
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -84,10 +84,6 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 FORMAT_NAME = "repro-columnar"
 
 MANIFEST_NAME = "manifest.json"
-
-#: Lines parsed per batch by the streaming reader; bounds peak memory to
-#: one batch of column staging lists regardless of file size.
-DEFAULT_BATCH_LINES = 131_072
 
 # Record-kind codes stored in the ``kind`` column (stable on-disk values).
 KIND_START = 0
@@ -167,46 +163,12 @@ class RecordColumns:
 
         Word values are masked to 32 bits, matching
         :meth:`ErrorFrame._build`; the scanner only ever emits 32-bit
-        words.
+        words.  An object that is not one of the four record types
+        raises :class:`LogFormatError`.
         """
         staging = _Staging()
         for record in records:
-            code = staging.intern(record.node)
-            if isinstance(record, ErrorRecord):
-                staging.add_error_values(
-                    record.timestamp_hours,
-                    code,
-                    record.virtual_address,
-                    record.physical_page,
-                    record.expected & 0xFFFFFFFF,
-                    record.actual & 0xFFFFFFFF,
-                    np.nan if record.temperature_c is None else record.temperature_c,
-                    record.repeat_count,
-                )
-            elif isinstance(record, StartRecord):
-                staging.add_plain(
-                    KIND_START,
-                    record.timestamp_hours,
-                    code,
-                    np.nan if record.temperature_c is None else record.temperature_c,
-                    record.allocated_mb,
-                )
-            elif isinstance(record, EndRecord):
-                staging.add_plain(
-                    KIND_END,
-                    record.timestamp_hours,
-                    code,
-                    np.nan if record.temperature_c is None else record.temperature_c,
-                    0,
-                )
-            elif isinstance(record, AllocFailRecord):
-                staging.add_plain(
-                    KIND_ALLOC_FAIL, record.timestamp_hours, code, np.nan, 0
-                )
-            else:
-                raise LogFormatError(
-                    f"unknown record type {type(record).__name__}"
-                )
+            staging.add_record(record)
         return staging.build()
 
     @classmethod
@@ -272,26 +234,33 @@ class RecordColumns:
     # -- materialization ---------------------------------------------------
 
     def to_records(self) -> list[LogRecord]:
-        """Materialize record objects (the bridge back to the text path)."""
-        records: list[LogRecord] = []
+        """Materialize record objects (the bridge back to the text path).
+
+        Each column leaves the array domain once, as one list of Python
+        scalars; the row loop then only builds the record objects.
+        """
         names = self.node_names
-        for i in range(len(self)):
-            kind = int(self.kind[i])
-            t = float(self.t[i])
-            node = names[int(self.node_code[i])]
-            tc = float(self.temp[i])
-            temp = None if np.isnan(tc) else tc
+        fields = (
+            "kind", "t", "node_code", "temp", "mb", "va", "pp",
+            "expected", "actual", "rep",
+        )
+        # repro: noqa[NPY002]: record objects are Python values; this method is the exit from the array domain
+        rows = zip(*(getattr(self, name).tolist() for name in fields))
+        records: list[LogRecord] = []
+        for kind, t, code, tc, mb, va, pp, expected, actual, rep in rows:
+            node = names[code]
+            temp = None if math.isnan(tc) else tc
             if kind == KIND_ERROR:
                 records.append(
                     ErrorRecord(
                         timestamp_hours=t,
                         node=node,
-                        virtual_address=int(self.va[i]),
-                        physical_page=int(self.pp[i]),
-                        expected=int(self.expected[i]),
-                        actual=int(self.actual[i]),
+                        virtual_address=va,
+                        physical_page=pp,
+                        expected=expected,
+                        actual=actual,
                         temperature_c=temp,
-                        repeat_count=int(self.rep[i]),
+                        repeat_count=rep,
                     )
                 )
             elif kind == KIND_START:
@@ -299,7 +268,7 @@ class RecordColumns:
                     StartRecord(
                         timestamp_hours=t,
                         node=node,
-                        allocated_mb=int(self.mb[i]),
+                        allocated_mb=mb,
                         temperature_c=temp,
                     )
                 )
@@ -379,7 +348,8 @@ class _Staging:
         self.blocks.append(arrays)
 
     def add_record(self, record: LogRecord) -> None:
-        """Slow-path append of one already-parsed record."""
+        """Append one record object (the per-line parser's fallback and
+        :meth:`RecordColumns.from_records`)."""
         code = self.intern(record.node)
         if isinstance(record, ErrorRecord):
             self.add_error_values(
@@ -408,8 +378,10 @@ class _Staging:
                 np.nan if record.temperature_c is None else record.temperature_c,
                 0,
             )
-        else:
+        elif isinstance(record, AllocFailRecord):
             self.add_plain(KIND_ALLOC_FAIL, record.timestamp_hours, code, np.nan, 0)
+        else:
+            raise LogFormatError(f"unknown record type {type(record).__name__}")
 
     def _flush_scalars(self) -> None:
         """Bulk-convert the scalar staging lists into one column block."""
@@ -457,14 +429,14 @@ class _Staging:
 
 
 # ---------------------------------------------------------------------------
-# Batch text parser
+# Text parser (the byte engine)
 # ---------------------------------------------------------------------------
 
 
 #: Minimum consecutive ERROR lines worth the fixed cost of a bulk parse.
 _ERROR_RUN_MIN = 32
 
-#: Bytes of text per streaming chunk in the whole-file fast path.
+#: Bytes of text per chunk when :func:`read_log_file` streams a file.
 _CHUNK_BYTES = 1 << 24
 
 #: Place values for bulk fixed-point conversion.  Widths are capped so
@@ -520,25 +492,19 @@ _HEX_VALUE[ord("a") : ord("f") + 1] = np.arange(10, 16)
 _PAD = 32
 
 
-def _encode_padded(
-    chunk: str | bytes,
-) -> tuple[np.ndarray, np.ndarray, bytes] | None:
-    """Prepare a text blob for the byte engine, or None if non-ASCII str.
+def _encode_padded(chunk: str | bytes) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """Prepare a text blob for the byte engine.
 
     Guarantees the returned buffer ends with a newline (a virtual one is
     appended when missing) followed by ``_PAD`` NUL slack bytes, and
     returns the newline positions plus the padded bytes (for slicing)
-    alongside it.  ``bytes`` input skips the encode entirely; any
-    non-ASCII byte in it fails the digit/prefix checks downstream and is
-    diagnosed by the per-line fallback's strict decode.
+    alongside it.  A ``str`` is encoded strictly as ASCII, so non-ASCII
+    text raises :class:`UnicodeEncodeError`.  ``bytes`` input skips the
+    encode entirely; any non-ASCII byte in it fails the digit/prefix
+    checks downstream and is diagnosed by the per-line path's strict
+    decode (:class:`UnicodeDecodeError`).
     """
-    if isinstance(chunk, str):
-        try:
-            raw = chunk.encode("ascii")
-        except UnicodeEncodeError:
-            return None
-    else:
-        raw = chunk
+    raw = chunk.encode("ascii") if isinstance(chunk, str) else chunk
     if not raw.endswith(b"\n"):
         raw += b"\n"
     blob = raw + b"\x00" * _PAD
@@ -620,15 +586,15 @@ def _error_columns_core(
     starts: np.ndarray,
     newlines: np.ndarray,
     grid: np.ndarray,
-    check_head: bool = True,
 ) -> tuple[dict, str] | None:
     """Columnar parse of lines whose pipe/newline positions are known.
 
     ``starts``/``newlines`` bound each line in ``buf`` (a padded ASCII
-    buffer over ``blob``, see :func:`_encode_padded`); ``grid`` holds the
-    8 candidate pipe positions per line.  Every field prefix is validated
-    positionally and every numeric payload converts through a strict
-    digit check, so the lines are accepted only if each is exactly what
+    buffer over ``blob``, see :func:`_encode_padded`), and every line is
+    known to start with ``ERROR|``; ``grid`` holds the 8 candidate pipe
+    positions per line.  Every field prefix is validated positionally
+    and every numeric payload converts through a strict digit check,
+    so the lines are accepted only if each is exactly what
     :func:`format_record` writes (single node, canonical layouts,
     ``expected != actual``, ``rep >= 1``).  Anything else returns None
     and the caller takes the per-line path, preserving the reference
@@ -639,10 +605,6 @@ def _error_columns_core(
     # Each row of `grid` must fall inside its own line for the reshape to
     # mean "the 8 separators of line i".
     if not ((grid[:, 0] >= starts).all() and (grid[:, 7] < newlines).all()):
-        return None
-    if check_head and not (
-        buf[starts[:, None] + np.arange(6)] == _LINE_HEAD
-    ).all():
         return None
     if not (buf[grid[:, _PREFIX_COL] + _PREFIX_OFFSET] == _PREFIX_EXPECT).all():
         return None
@@ -724,106 +686,12 @@ def _error_columns_core(
     return columns, node
 
 
-def _bulk_error_columns(
-    chunk: str, expected_ends: np.ndarray | None = None
-) -> tuple[dict, str] | None:
-    """Byte-level columnar parse of a newline-separated all-ERROR blob.
-
-    ``expected_ends`` (newline position per line) lets callers that
-    joined a list of lines verify the blob segments back into exactly
-    those lines.
-    """
-    encoded = _encode_padded(chunk)
-    if encoded is None:
-        return None
-    buf, newlines, blob = encoded
-    n = int(newlines.size)
-    if n == 0:
-        return None
-    if expected_ends is not None and (
-        n != expected_ends.shape[0] or not np.array_equal(newlines, expected_ends)
-    ):
-        return None
-    pipes = np.flatnonzero(buf == ord("|"))
-    if pipes.size != 8 * n:
-        return None
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = newlines[:-1] + 1
-    return _error_columns_core(buf, blob, starts, newlines, pipes.reshape(n, 8))
-
-
-def _bulk_parse_error_run(run: list[str]) -> tuple[dict, str] | None:
-    """Bulk-parse a list of consecutive ERROR lines (with or without
-    trailing newlines), verifying the joined blob segments back into
-    exactly the input lines."""
-    n = len(run)
-    lengths = np.fromiter(map(len, run), dtype=np.int64, count=n)
-    if run[0].endswith("\n"):
-        chunk = "".join(run)
-        ends = np.cumsum(lengths) - 1
-        if not chunk.endswith("\n"):
-            ends[-1] += 1  # the engine appends the virtual final newline
-    else:
-        # "\n".join inserts n-1 separators; the +1 on every line already
-        # counts the virtual final newline the engine appends.
-        chunk = "\n".join(run)
-        ends = np.cumsum(lengths + 1) - 1
-    return _bulk_error_columns(chunk, ends)
-
-
 def _append_error_block(staging: _Staging, columns: dict, node: str) -> None:
     code = staging.intern(node)
     columns["node_code"] = np.full(
         int(columns["kind"].shape[0]), code, dtype=np.int32
     )
     staging.add_block(columns)
-
-
-def parse_lines(lines: Iterable[str]) -> RecordColumns:
-    """Parse a batch of log lines into columns, no record objects.
-
-    Runs of consecutive ERROR lines — the overwhelming bulk of any real
-    archive — are parsed column-wise in one pass by
-    :func:`_bulk_parse_error_run`.  Everything else takes a per-line fast
-    path that assumes the exact field order :func:`format_record` writes;
-    any line that deviates — reordered fields, unknown kinds, malformed
-    or half-written lines — is handed to :func:`parse_line`, which either
-    recovers it (it accepts any field order) or raises the same
-    :class:`LogFormatError` the text reference path would.  Blank lines
-    are skipped, as in :meth:`LogArchive.read_directory`.
-    """
-    lines = list(lines)
-    staging = _Staging()
-    n_lines = len(lines)
-    i = 0
-    try:
-        while i < n_lines:
-            raw = lines[i]
-            if raw.startswith("ERROR|"):
-                j = i + 1
-                while j < n_lines and lines[j].startswith("ERROR|"):
-                    j += 1
-                if j - i >= _ERROR_RUN_MIN:
-                    bulk = _bulk_parse_error_run(lines[i:j])
-                    if bulk is not None:
-                        _append_error_block(staging, *bulk)
-                        i = j
-                        continue
-                for k in range(i, j):
-                    _parse_one(staging, lines[k])
-                i = j
-            else:
-                _parse_one(staging, raw)
-                i += 1
-        return staging.build()
-    except ValueError as exc:
-        # A fast-path string payload (timestamp/temperature) failed bulk
-        # numeric conversion; re-parse line-by-line for a precise error.
-        for raw in lines:
-            if raw.strip():
-                parse_line(raw)
-        raise LogFormatError(f"unparseable numeric field in batch: {exc}") from exc
 
 
 def _parse_one(staging: _Staging, raw: str) -> None:
@@ -915,73 +783,61 @@ def _parse_one(staging: _Staging, raw: str) -> None:
     staging.add_record(parse_line(line))
 
 
-def _parse_chunk_fast(staging: _Staging, chunk: str | bytes) -> bool:
-    """Byte-level parse of a newline-separated blob, no line splitting.
-
-    The encoded buffer is segmented once into maximal runs of
-    ``ERROR|``-prefixed lines — each bulk-parsed by
-    :func:`_error_columns_core` straight from the shared pipe/newline
-    position arrays — and everything else (START/END/ALLOC_FAIL lines,
-    short runs, anything non-canonical), which is sliced out and handed
-    to :func:`_parse_one` line by line.  Returns False for non-ASCII
-    str input; the caller falls back to the line path.
-    """
-    encoded = _encode_padded(chunk)
-    if encoded is None:
-        return False
-    buf, newlines, blob = encoded
-    n = int(newlines.size)
-    if n == 0:
-        return True
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = newlines[:-1] + 1
-    is_err = (buf[starts[:, None] + np.arange(6)] == _LINE_HEAD).all(axis=1)
-    pipes = np.flatnonzero(buf == ord("|"))
-    edges = np.flatnonzero(is_err[1:] != is_err[:-1]) + 1
-    # repro: noqa[NPY002]: run boundaries only — O(runs), not O(lines)
-    bounds = [0, *edges.tolist(), n]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if is_err[lo] and hi - lo >= _ERROR_RUN_MIN:
-            seg_starts = starts[lo:hi]
-            seg_ends = newlines[lo:hi]
-            p0 = int(np.searchsorted(pipes, seg_starts[0]))
-            p1 = int(np.searchsorted(pipes, seg_ends[-1]))
-            if p1 - p0 == 8 * (hi - lo):
-                bulk = _error_columns_core(
-                    buf,
-                    blob,
-                    seg_starts,
-                    seg_ends,
-                    pipes[p0:p1].reshape(hi - lo, 8),
-                    check_head=False,
-                )
-                if bulk is not None:
-                    _append_error_block(staging, *bulk)
-                    continue
-        # repro: noqa[NPY002]: slow-path fallback — these lines re-parse one by one anyway
-        for a, b in zip(starts[lo:hi].tolist(), newlines[lo:hi].tolist()):
-            # Strict decode: a non-ASCII byte raises UnicodeDecodeError
-            # exactly as the text reference path does at read time.
-            _parse_one(staging, blob[a:b].decode("ascii"))
-    return True
-
-
 def parse_chunk(chunk: str | bytes) -> RecordColumns:
     """Parse a newline-separated blob of log text into columns.
 
-    The blob is parsed in place at byte level by
-    :func:`_parse_chunk_fast` (the dominant path at paper scale); only
-    non-ASCII str input falls back to :func:`parse_lines` over split
-    lines.
+    The blob is parsed in place at byte level, with no line splitting.
+    The buffer is segmented once into maximal runs of ``ERROR|``-prefixed
+    lines.  A run of at least ``_ERROR_RUN_MIN`` lines is bulk-parsed by
+    :func:`_error_columns_core` straight from the shared pipe/newline
+    position arrays.  Everything else (START/END/ALLOC_FAIL lines, short
+    runs, anything non-canonical) is sliced out and handed to
+    :func:`_parse_one` line by line, which falls back to
+    :func:`~repro.logs.format.parse_line` for any line it cannot take,
+    so malformed input raises the reference parser's
+    :class:`LogFormatError`.  Blank lines are skipped.
+
+    Log text is ASCII: a non-ASCII ``str`` raises
+    :class:`UnicodeEncodeError`, and a non-ASCII byte in ``bytes`` input
+    raises :class:`UnicodeDecodeError`, as the file readers do.
     """
     staging = _Staging()
     try:
-        if not _parse_chunk_fast(staging, chunk):
-            return parse_lines(chunk.split("\n"))
+        buf, newlines, blob = _encode_padded(chunk)
+        n = int(newlines.size)
+        starts = np.empty(n, dtype=np.int64)
+        starts[0] = 0
+        starts[1:] = newlines[:-1] + 1
+        is_err = (buf[starts[:, None] + np.arange(6)] == _LINE_HEAD).all(axis=1)
+        pipes = np.flatnonzero(buf == ord("|"))
+        edges = np.flatnonzero(is_err[1:] != is_err[:-1]) + 1
+        # repro: noqa[NPY002]: run boundaries only — O(runs), not O(lines)
+        bounds = [0, *edges.tolist(), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if is_err[lo] and hi - lo >= _ERROR_RUN_MIN:
+                seg_starts = starts[lo:hi]
+                seg_ends = newlines[lo:hi]
+                p0 = int(np.searchsorted(pipes, seg_starts[0]))
+                p1 = int(np.searchsorted(pipes, seg_ends[-1]))
+                if p1 - p0 == 8 * (hi - lo):
+                    bulk = _error_columns_core(
+                        buf,
+                        blob,
+                        seg_starts,
+                        seg_ends,
+                        pipes[p0:p1].reshape(hi - lo, 8),
+                    )
+                    if bulk is not None:
+                        _append_error_block(staging, *bulk)
+                        continue
+            # repro: noqa[NPY002]: slow-path fallback — these lines re-parse one by one anyway
+            for a, b in zip(starts[lo:hi].tolist(), newlines[lo:hi].tolist()):
+                # Strict decode: a non-ASCII byte raises UnicodeDecodeError
+                # exactly as the text reference path does at read time.
+                _parse_one(staging, blob[a:b].decode("ascii"))
         return staging.build()
-    except UnicodeDecodeError:
-        raise
+    except UnicodeError:
+        raise  # a ValueError subclass, but not a numeric-field problem
     except ValueError as exc:
         # A fast-path string payload (timestamp/temperature) failed bulk
         # numeric conversion; re-parse line-by-line for a precise error.
@@ -990,14 +846,6 @@ def parse_chunk(chunk: str | bytes) -> RecordColumns:
             if raw.strip():
                 parse_line(raw)
         raise LogFormatError(f"unparseable numeric field in batch: {exc}") from exc
-
-
-def _open_text(path: Path):
-    import gzip
-
-    if path.name.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="ascii")
-    return open(path, "r", encoding="ascii")
 
 
 def _open_binary(path: Path):
@@ -1012,7 +860,7 @@ def _iter_byte_chunks(path: str | Path) -> Iterator[bytes]:
     """Stream a log file as newline-aligned byte blobs of ~_CHUNK_BYTES.
 
     Binary reads skip the text-mode decode; the byte engine validates
-    ASCII-ness itself (see :func:`_parse_chunk_fast`).
+    ASCII-ness itself (see :func:`parse_chunk`).
     """
     with _open_binary(Path(path)) as fh:
         tail = b""
@@ -1032,40 +880,15 @@ def _iter_byte_chunks(path: str | Path) -> Iterator[bytes]:
             yield block[: cut + 1]
 
 
-def iter_record_batches(
-    path: str | Path, batch_lines: int = DEFAULT_BATCH_LINES
-) -> Iterator[RecordColumns]:
-    """Stream a log file as column batches of at most ``batch_lines`` rows."""
-    if batch_lines < 1:
-        raise ValueError("batch_lines must be >= 1")
-    with _open_text(Path(path)) as fh:
-        while True:
-            chunk = list(islice(fh, batch_lines))
-            if not chunk:
-                return
-            yield parse_lines(chunk)
-
-
-def read_log_file(
-    path: str | Path, batch_lines: int = DEFAULT_BATCH_LINES
-) -> RecordColumns:
+def read_log_file(path: str | Path) -> RecordColumns:
     """One whole ``<node>.log[.gz]`` file as a single column set.
 
-    With the default batch size the file streams through
-    :func:`parse_chunk` in newline-aligned byte blocks, skipping the
-    per-line list entirely; an explicit ``batch_lines`` takes the
-    line-batched path (same results, row-count-bounded batches).
+    The file streams through :func:`parse_chunk` in newline-aligned byte
+    blocks of ``_CHUNK_BYTES``, so no per-line list is ever built.
     """
-    if batch_lines != DEFAULT_BATCH_LINES:
-        return RecordColumns.concat(list(iter_record_batches(path, batch_lines)))
     return RecordColumns.concat(
         [parse_chunk(chunk) for chunk in _iter_byte_chunks(path)]
     )
-
-
-def _ingest_file(path_str: str) -> RecordColumns:
-    """Module-level per-file work unit (picklable for the process backend)."""
-    return read_log_file(path_str)
 
 
 # ---------------------------------------------------------------------------
@@ -1304,7 +1127,6 @@ class ColumnarArchive:
         *,
         workers: int | None = None,
         backend: str | None = None,
-        batch_lines: int = DEFAULT_BATCH_LINES,
     ) -> "ColumnarArchive":
         """Ingest a directory of text logs, one parallel work unit per file.
 
@@ -1315,18 +1137,13 @@ class ColumnarArchive:
         from ..parallel import parallel_map, resolve_backend, resolve_workers
         from .store import directory_log_files
 
-        files = directory_log_files(path)
         n_workers = resolve_workers(workers)
-        exec_backend = resolve_backend(backend, n_workers)
-        if batch_lines == DEFAULT_BATCH_LINES:
-            parts = parallel_map(
-                _ingest_file,
-                [str(p) for p in files],
-                backend=exec_backend,
-                workers=n_workers,
-            )
-        else:
-            parts = [read_log_file(p, batch_lines) for p in files]
+        parts = parallel_map(
+            read_log_file,
+            directory_log_files(path),
+            backend=resolve_backend(backend, n_workers),
+            workers=n_workers,
+        )
         merged = RecordColumns.concat(parts)
         return cls(merged.split_by_node())
 

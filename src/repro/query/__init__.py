@@ -16,7 +16,6 @@ See ``docs/QUERY.md`` for the plan language and semantics.
 from .cache import QueryCache
 from .engine import ExecutionStats, QueryEngine, QueryResult
 from .plan import Aggregate, Derive, Predicate, Query, QueryPlanError
-from .ported import daily_histogram, hourly_histogram, temperature_histogram
 from .resilient import (
     CircuitBreaker,
     ExecutionOutcome,
@@ -50,7 +49,4 @@ __all__ = [
     "ShardInfo",
     "StaleResultCache",
     "as_source",
-    "daily_histogram",
-    "hourly_histogram",
-    "temperature_histogram",
 ]

@@ -4,9 +4,10 @@ Execution is shard-at-a-time: prune against the zone map, load only the
 base columns the plan touches, materialize derived columns, evaluate
 the filter conjunction as one boolean mask, then either collect
 projected rows or fold the shard into the group-aggregate accumulator.
-No record objects, no per-row Python — every stage is a NumPy kernel,
-which is what makes the ported analyses bit-identical to their
-hand-written ancestors: they bottom out in the same ufuncs.
+No record objects, no per-row Python — every stage is a NumPy kernel.
+The derived columns repeat the arithmetic of the :mod:`repro.analysis`
+histograms to the ufunc, so a plan that bins the error rows gives the
+same counts as the analysis function over the extracted frame.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _derive_bit_bucket(cols: dict, *, max_bucket: int = 6) -> np.ndarray:
 def _derive_temp_c(cols: dict) -> np.ndarray:
     # The ErrorFrame temperature semantic: shard float64 values pass
     # through the frame's float32 column before analyses widen them
-    # back.  Reproducing the round trip is what keeps ported histograms
-    # bit-identical.
+    # back.  Reproducing the round trip keeps temperature bins equal to
+    # repro.analysis.correlation.temperature_histogram's.
     return cols["temp"].astype(np.float32).astype(np.float64)
 
 

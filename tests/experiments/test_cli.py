@@ -22,6 +22,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0xffff7bff" in out
 
+    def test_degraded_report_is_flagged(self, monkeypatch, capsys):
+        """A campaign that lost a node still prints its report, then flags
+        it: DEGRADED on stderr and exit 3, as `campaign` does."""
+        from repro import chaos
+        from repro.experiments import runner
+
+        real_run_campaign = runner.run_campaign
+        monkeypatch.setattr(
+            runner,
+            "run_campaign",
+            lambda config, **kwargs: real_run_campaign(
+                config, chaos=chaos.always_raise("01-02"), **kwargs
+            ),
+        )
+        assert main(["--quick", "--no-cache", "--retries", "0", "report"]) == 3
+        captured = capsys.readouterr()
+        assert "raw error log lines" in captured.out
+        assert "DEGRADED" in captured.err
+
     def test_unknown_experiment(self, capsys):
         """Rejected cleanly before the campaign runs (no traceback)."""
         assert main(["--quick", "experiment", "nope"]) == 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from repro.core.records import (
     ErrorRecord,
     StartRecord,
 )
+from repro.logs import columnar
 from repro.logs.columnar import (
     FORMAT_VERSION,
     MANIFEST_NAME,
+    SHARD_COLUMNS,
     ColumnarArchive,
     RecordColumns,
-    iter_record_batches,
-    parse_lines,
+    parse_chunk,
     read_log_file,
     read_manifest,
 )
@@ -175,32 +177,66 @@ class TestBatchParser:
             AllocFailRecord(3.0, "01-02"),
         ]
         lines = [format_record(r) + "\n" for r in records]
-        columns = parse_lines(lines)
+        columns = parse_chunk("".join(lines))
         assert columns.to_records() == records
 
     def test_blank_lines_skipped(self):
         rec = AllocFailRecord(3.0, "01-02")
-        columns = parse_lines(["\n", format_record(rec), "   \n"])
+        columns = parse_chunk("\n" + format_record(rec) + "\n   \n")
         assert columns.to_records() == [rec]
 
     def test_reordered_fields_fall_back_to_reference_parser(self):
         # parse_line accepts any field order; the fast path must not
         # reject what the reference accepts.
-        columns = parse_lines(["END|node=01-02|t=2.0|temp=na"])
+        columns = parse_chunk("END|node=01-02|t=2.0|temp=na")
         assert columns.to_records() == [EndRecord(2.0, "01-02", None)]
 
-    def test_streaming_batches_equal_whole_file(self, tmp_path):
-        records = [
-            ErrorRecord(float(i), "01-02", 0x30, 0x80, 0xFFFFFFFF, 0xFFFFFFFE)
-            for i in range(1, 257)
+    def test_str_and_bytes_give_identical_columns(self, monkeypatch):
+        """One chunk holding a bulk-sized ERROR run, lifecycle lines and a
+        reordered-field line parses the same from ``str`` and ``bytes``."""
+        run = [
+            ErrorRecord(1.0 + i / 64, "01-02", 0x30 + 4 * i, 0x80, 0xFFFFFFFF,
+                        0xFFFFFFFF ^ (1 << i % 32),
+                        None if i % 5 == 0 else 30.0 + i / 4, 1 + i % 3)
+            for i in range(2 * columnar._ERROR_RUN_MIN)
         ]
-        path = tmp_path / "01-02.log"
-        path.write_text("".join(format_record(r) + "\n" for r in records))
-        batches = list(iter_record_batches(path, batch_lines=100))
-        assert [len(b) for b in batches] == [100, 100, 56]
-        merged = RecordColumns.concat(batches)
-        assert merged.to_records() == records
-        assert read_log_file(path, batch_lines=100).to_records() == records
+        records = [
+            StartRecord(0.5, "01-02", 3072, 34.25),
+            *run,
+            EndRecord(2.0, "01-02", None),
+            AllocFailRecord(3.0, "01-02"),
+        ]
+        text = "".join(format_record(r) + "\n" for r in records)
+        text += "END|node=01-02|t=4.0|temp=na\n"
+        per_line = []
+        real_parse_one = columnar._parse_one
+        monkeypatch.setattr(
+            columnar, "_parse_one",
+            lambda staging, raw: per_line.append(raw) or real_parse_one(staging, raw),
+        )
+        from_str = parse_chunk(text)
+        from_bytes = parse_chunk(text.encode("ascii"))
+        # Only the four non-ERROR lines (twice) took the per-line path;
+        # the ERROR run went through the bulk engine both times.
+        assert len(per_line) == 8
+        for name in [*SHARD_COLUMNS, "node_code"]:
+            a, b = getattr(from_str, name), getattr(from_bytes, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert from_str.node_names == from_bytes.node_names == ["01-02"]
+        assert from_str.to_records() == [*records, EndRecord(4.0, "01-02", None)]
+
+    def test_non_ascii_text_raises_unicode_error(self):
+        line = "START|t=0.0|node=0\u00e9-01|mb=3072|temp=na\n"
+        with pytest.raises(UnicodeEncodeError):
+            parse_chunk(line)
+        with pytest.raises(UnicodeDecodeError):
+            parse_chunk(line.encode("utf-8"))
+
+    def test_unknown_record_type_raises_logformaterror(self):
+        stray = SimpleNamespace(timestamp_hours=1.0, node="01-02")
+        with pytest.raises(LogFormatError, match="unknown record type"):
+            RecordColumns.from_records([stray])
 
     def test_gzip_file(self, tmp_path):
         rec = ErrorRecord(1.0, "01-02", 0x30, 0x80, 0x0, 0x1, 20.0, 3)
@@ -240,7 +276,7 @@ class TestMalformedText:
     )
     def test_bad_line_raises_logformaterror(self, line):
         with pytest.raises(LogFormatError):
-            parse_lines([line])
+            parse_chunk(line)
 
     def test_half_written_last_line_in_file(self, tmp_path):
         good = format_record(

@@ -3,7 +3,7 @@
 Two populations:
 
 * the frozen golden corpus (four nodes, every record kind, one
-  temperature-less error) for parity-with-analysis tests;
+  temperature-less error), in memory and saved as a columnar archive;
 * a synthetic archive with *staggered per-node time windows* — node k's
   records live in ``[k*WINDOW_HOURS, (k+1)*WINDOW_HOURS)`` — so a
   timestamp-range predicate has a knowable set of matching shards and

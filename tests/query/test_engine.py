@@ -36,10 +36,16 @@ from .conftest import WINDOW_HOURS, make_staggered_archive
 # ---------------------------------------------------------------------------
 
 
+#: ``n_days`` of the ``day`` derive; shorter than the archive's span so
+#: the clip onto the last day is exercised.
+N_DAYS = 20
+
+
 def _record_row(node: str, rec) -> dict:
     """Flatten an ErrorRecord into the engine's column vocabulary."""
     temp = math.nan if rec.temperature_c is None else float(rec.temperature_c)
     t = float(rec.timestamp_hours)
+    n_bits = bin((rec.expected ^ rec.actual) & 0xFFFFFFFF).count("1")
     return {
         "node": node,
         "t": t,
@@ -47,8 +53,12 @@ def _record_row(node: str, rec) -> dict:
         "rep": int(rec.repeat_count),
         "va": int(rec.virtual_address),
         "pp": int(rec.physical_page),
-        "n_bits": bin((rec.expected ^ rec.actual) & 0xFFFFFFFF).count("1"),
+        "n_bits": n_bits,
         "hour": int(t % 24.0) % 24,
+        "day": min(max(int(t // 24.0), 0), N_DAYS - 1),
+        "bit_bucket": min(n_bits, 6),
+        # The ErrorFrame's float32 temperature column, widened back.
+        "temp_c": float(np.float32(temp)),
     }
 
 
@@ -126,19 +136,37 @@ _predicate = st.one_of(
     st.builds(lambda op, v: Predicate("rep", op, v), _CMP, st.integers(1, 40)),
     st.builds(lambda op, v: Predicate("n_bits", op, v), _CMP, st.integers(0, 8)),
     st.builds(lambda op, v: Predicate("hour", op, v), _CMP, st.integers(0, 23)),
+    st.builds(
+        lambda op, v: Predicate("day", op, v), _CMP, st.integers(0, N_DAYS - 1)
+    ),
+    st.builds(
+        lambda op, v: Predicate("bit_bucket", op, v), _CMP, st.integers(0, 7)
+    ),
+    st.builds(
+        lambda op, v: Predicate("temp_c", op, round(v, 2)),
+        _CMP, st.floats(15.0, 100.0, allow_nan=False),
+    ),
+    st.sampled_from(
+        [Predicate("temp_c", "isnull"), Predicate("temp_c", "notnull")]
+    ),
 )
+
+#: Derive spec per derived column the predicates above can reference.
+_DERIVES = {
+    "n_bits": Derive("n_bits", "n_bits"),
+    "hour": Derive("hour", "hour"),
+    "day": Derive("day", "day", {"n_days": N_DAYS}),
+    "bit_bucket": Derive("bit_bucket", "bit_bucket"),
+    "temp_c": Derive("temp_c", "temp_c"),
+}
 
 
 def _plan(predicates: list[Predicate]) -> Query:
-    derive = []
     referenced = {p.column for p in predicates}
-    if "n_bits" in referenced:
-        derive.append(Derive("n_bits", "n_bits"))
-    if "hour" in referenced:
-        derive.append(Derive("hour", "hour"))
+    derive = tuple(spec for name, spec in _DERIVES.items() if name in referenced)
     return Query(
         filters=(Predicate("kind", "eq", int(KIND_ERROR)), *predicates),
-        derive=tuple(derive),
+        derive=derive,
         project=("node", "t", "va", "rep"),
     )
 
@@ -153,6 +181,27 @@ def test_engine_matches_brute_force(predicates):
     # error_records() already restricts to ERROR rows, so the brute force
     # applies only the random predicates on top of that.
     assert result_rows(result) == brute_force_rows(ARCHIVE, tuple(predicates))
+
+
+@pytest.mark.parametrize("column", sorted(_DERIVES))
+def test_derived_column_matches_brute_force(column):
+    """Each derive, projected over every ERROR row, equals _record_row's."""
+    result = QueryEngine(MemorySource(ARCHIVE)).execute(Query(
+        filters=(Predicate("kind", "eq", int(KIND_ERROR)),),
+        derive=(_DERIVES[column],),
+        project=("node", "t", column),
+    ), use_cache=False)
+
+    def key(node, t, value):
+        return (node, t, None if value != value else value)  # NaN-aware
+
+    got = sorted(map(key, *(result.column(c).tolist() for c in ("node", "t", column))))
+    expected = sorted(
+        key(node, row["t"], row[column])
+        for node in ARCHIVE.nodes
+        for row in (_record_row(node, rec) for rec in ARCHIVE.error_records(node))
+    )
+    assert got == expected
 
 
 @settings(max_examples=60, deadline=None)
