@@ -66,12 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retries",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
-        help=(
-            "retry budget per node before it is reported as degraded "
-            "(enables the fault-tolerant supervisor)"
-        ),
+        help="retry budget per node before it is reported as degraded (default 0)",
     )
     parser.add_argument(
         "--unit-timeout",
@@ -568,9 +565,7 @@ def _cmd_logs(args) -> int:
                     f"({archive.n_records():,} records) to {args.dst}"
                 )
                 return 0
-            archive = ColumnarArchive.read_text_directory(
-                args.src, workers=args.workers, backend=args.backend
-            )
+            archive = ColumnarArchive.read_text_directory(args.src)
             manifest = archive.save(args.dst)
             print(
                 f"wrote {manifest['n_nodes']} shards to {args.dst} "
@@ -1152,13 +1147,12 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        retry = RetryPolicy(retries=args.retries) if args.retries is not None else None
         try:
             result = run_campaign(
                 config,
                 workers=args.workers,
                 backend=args.backend,
-                retry=retry,
+                retry=RetryPolicy(retries=args.retries),
                 unit_timeout=args.unit_timeout,
                 stream_to=args.stream_out,
                 stream_flush_nodes=args.stream_flush_nodes,
@@ -1206,7 +1200,7 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         backend=args.backend,
         use_cache=not args.no_cache,
-        retry=RetryPolicy(retries=args.retries) if args.retries is not None else None,
+        retry=RetryPolicy(retries=args.retries),
         unit_timeout=args.unit_timeout,
     )
     if args.command == "report":

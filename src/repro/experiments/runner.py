@@ -101,9 +101,9 @@ def get_analysis(
     ``workers``/``backend`` control how a cache *miss* is simulated; they
     never affect the result (all backends are bit-identical), so hits and
     misses are interchangeable.  ``use_cache=False`` bypasses both the
-    in-process memo and the disk cache.  ``retry``/``unit_timeout`` route
-    a cache miss through the fault-tolerant supervisor (see
-    :func:`repro.faultinjection.run_campaign`); sub-budget recoveries are
+    in-process memo and the disk cache.  ``retry``/``unit_timeout`` go to
+    :func:`repro.faultinjection.run_campaign` on a cache miss (without a
+    ``retry`` policy a lost node raises); sub-budget recoveries are
     bit-identical, so they share the cache key with plain runs.  A
     *degraded* run (nodes exhausted their retry budget) is returned to
     this caller but never cached — on disk or in the memo — because its

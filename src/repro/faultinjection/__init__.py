@@ -3,7 +3,6 @@
 from .campaign import (
     CampaignMetrics,
     CampaignResult,
-    DegradedNode,
     DegradedResult,
     run_campaign,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "CampaignMetrics",
     "CampaignResult",
     "CataloguePlacement",
-    "DegradedNode",
     "DegradedResult",
     "DegradingNodeConfig",
     "MultiBitPattern",

@@ -41,6 +41,7 @@ import numpy as np
 
 from ..cluster.registry import ClusterRegistry
 from ..cluster.topology import OVERHEATING_SOC, NodeId
+from ..core.errors import CheckpointError, SimulationError
 from ..core.rng import RngFactory
 from ..core.units import SCAN_TARGET_MB
 from ..dram.addressing import AddressMap, stable_salt
@@ -54,7 +55,7 @@ from ..logs.columnar import (
 from ..logs.frame import ErrorFrame
 from ..parallel import (
     RetryPolicy,
-    parallel_map,
+    UnitFailure,
     resolve_backend,
     resolve_workers,
     supervised_map,
@@ -183,26 +184,17 @@ class CampaignMetrics:
 
 
 @dataclass(frozen=True)
-class DegradedNode:
-    """One node the campaign permanently lost, and why."""
-
-    node: str
-    attempts: int
-    kind: str   # "error" | "timeout" | "pool" (see repro.parallel)
-    error: str
-
-
-@dataclass(frozen=True)
 class DegradedResult:
     """Dead-blade accounting for a campaign that lost nodes.
 
     The paper reports its study over 923 scanned of 945 slots rather than
-    aborting on dead blades; a campaign whose nodes exhaust their retry
-    budget likewise completes over the surviving population and reports
-    the casualties here instead of raising.
+    aborting on dead blades; a campaign run with a retry policy whose
+    nodes exhaust their budget likewise completes over the surviving
+    population and reports the casualties here instead of raising.
     """
 
-    nodes: tuple[DegradedNode, ...]
+    #: One entry per lost node (``key`` is the node name).
+    nodes: tuple[UnitFailure, ...]
     n_planned: int
 
     @property
@@ -214,11 +206,13 @@ class DegradedResult:
         return self.n_planned - self.n_failed
 
     def names(self) -> list[str]:
-        return [entry.node for entry in self.nodes]
+        return [entry.key for entry in self.nodes]
 
     def summary(self) -> str:
         failed = ", ".join(
-            f"{e.node} ({e.kind} after {e.attempts} attempts)" for e in self.nodes
+            f"{e.key} ({e.kind} after {e.attempts} attempts"
+            + (f": {e.error})" if e.error else ")")
+            for e in self.nodes
         )
         return (
             f"degraded campaign: {self.n_completed} of {self.n_planned} "
@@ -531,7 +525,6 @@ def _open_stream(path: str | Path, config: CampaignConfig):
     skipped as this campaign's.
     """
     from ..cache import config_digest
-    from ..core.errors import CheckpointError
     from ..logs.ingest import LiveArchive
 
     live = LiveArchive.create(path)
@@ -562,23 +555,23 @@ def run_campaign(
     """Simulate the full study and return its logs and coverage.
 
     ``workers``/``backend`` override the config's execution fields: the
-    per-node phase fans out over :func:`repro.parallel.parallel_map`.
+    per-node phase fans out over :func:`repro.parallel.supervised_map`.
     Results are bit-identical across backends for the same seed.  Each
     unit returns its ERROR rows as :class:`RecordColumns`, so process
     workers hand back arrays.  The in-memory archive is one concatenation
     of the unit columns and the catalogue's, sorted per node.
 
-    Fault tolerance (any of ``retry``/``unit_timeout``/``chaos``/
-    ``stream_to`` routes the per-node fan-out through
-    :func:`repro.parallel.supervised_map`):
+    Fault tolerance:
 
     * ``retry`` re-runs a failed node within its budget — per-node RNG
       streams are pure functions of ``(seed, key)`` and units are
       side-effect-free, so retries never change results;
     * ``unit_timeout`` is the per-node watchdog (process backend);
-    * nodes that exhaust the budget are reported in
-      :attr:`CampaignResult.degraded` (the paper's dead-blade
-      accounting), never raised;
+    * with a ``retry`` policy, nodes that exhaust the budget are
+      reported in :attr:`CampaignResult.degraded` (the paper's
+      dead-blade accounting); with ``retry=None`` a lost node raises
+      :class:`~repro.core.errors.SimulationError` naming it, once every
+      other unit has finished (and, on a streamed run, been committed);
     * ``chaos`` (a :class:`repro.chaos.ChaosPlan`) injects deterministic
       failures for testing.
 
@@ -616,15 +609,32 @@ def run_campaign(
 
     ctx = _CampaignContext(config)
     names = list(ctx.nodes_by_name)
-    supervise = (
-        retry is not None
-        or unit_timeout is not None
-        or chaos is not None
-        or stream_to is not None
-    )
+    remaining = names
+    on_result = None
+    n_resumed = 0
+    if stream_to is not None:
+        live = _open_stream(stream_to, config)
+        committed = set(live.committed_batches)
+        remaining = [name for name in names if f"unit:{name}" not in committed]
+        n_resumed = len(names) - len(remaining)
+        flush_every = max(1, int(stream_flush_nodes))
+        window: dict[str, RecordColumns] = {}
 
-    degraded: DegradedResult | None = None
-    n_retries = n_timeouts = n_pool_rebuilds = n_resumed = 0
+        def _flush_stream() -> None:
+            if window:
+                live.append_batch(
+                    {f"unit:{key}": cols for key, cols in window.items()}
+                )
+                window.clear()
+
+        def on_result(_i, key, value) -> None:
+            # Take the columns out of `value`, the object the supervisor
+            # keeps in its outcome, so the parent never holds more than
+            # one flush window of records in RAM.
+            window[key] = value.columns
+            value.columns = None
+            if len(window) >= flush_every:
+                _flush_stream()
 
     # -- parallel phase: per-node models + rendering -----------------------
     # Every process (the serial/thread parent or each process worker)
@@ -635,72 +645,28 @@ def run_campaign(
         fn, initializer, initargs = (
             lambda name: _simulate_node(ctx, name), ctx.tracks, ()
         )
-    if not supervise:
-        results: list[_NodeResult] = parallel_map(
-            fn,
-            names,
-            backend=exec_backend,
-            workers=n_workers,
-            initializer=initializer,
-            initargs=initargs,
-        )
-    else:
-        remaining = names
-        on_result = None
-        if stream_to is not None:
-            live = _open_stream(stream_to, config)
-            committed = set(live.committed_batches)
-            remaining = [name for name in names if f"unit:{name}" not in committed]
-            n_resumed = len(names) - len(remaining)
-            flush_every = max(1, int(stream_flush_nodes))
-            window: dict[str, RecordColumns] = {}
+    outcome = supervised_map(
+        fn,
+        remaining,
+        keys=remaining,
+        backend=exec_backend,
+        workers=n_workers,
+        initializer=initializer,
+        initargs=initargs,
+        retry=retry,
+        unit_timeout=unit_timeout,
+        chaos=chaos,
+        on_unit_result=on_result,
+    )
+    if stream_to is not None:
+        _flush_stream()  # the tail window
 
-            def _flush_stream() -> None:
-                if window:
-                    live.append_batch(
-                        {f"unit:{key}": cols for key, cols in window.items()}
-                    )
-                    window.clear()
-
-            def on_result(_i, key, value) -> None:
-                # Take the columns out of `value`, the object the
-                # supervisor keeps in its outcome, so the parent never
-                # holds more than one flush window of records in RAM.
-                window[key] = value.columns
-                value.columns = None
-                if len(window) >= flush_every:
-                    _flush_stream()
-
-        outcome = supervised_map(
-            fn,
-            remaining,
-            keys=remaining,
-            backend=exec_backend,
-            workers=n_workers,
-            initializer=initializer,
-            initargs=initargs,
-            retry=retry,
-            unit_timeout=unit_timeout,
-            chaos=chaos,
-            on_unit_result=on_result,
-        )
-        if stream_to is not None:
-            _flush_stream()  # the tail window
-
-        results = [value for value in outcome.values if value is not None]
-        n_retries = outcome.n_retries
-        n_timeouts = outcome.n_timeouts
-        n_pool_rebuilds = outcome.n_pool_rebuilds
-        if outcome.failures:
-            degraded = DegradedResult(
-                nodes=tuple(
-                    DegradedNode(
-                        node=f.key, attempts=f.attempts, kind=f.kind, error=f.error
-                    )
-                    for f in outcome.failures
-                ),
-                n_planned=len(names),
-            )
+    degraded: DegradedResult | None = None
+    if outcome.failures:
+        degraded = DegradedResult(nodes=tuple(outcome.failures), n_planned=len(names))
+        if retry is None:
+            raise SimulationError(degraded.summary())
+    results: list[_NodeResult] = [v for v in outcome.values if v is not None]
 
     lost = set(degraded.names()) if degraded is not None else set()
     by_node = {result.node: result for result in results}
@@ -744,9 +710,9 @@ def run_campaign(
         n_observations=n_observations,
         n_nodes=len(names),
         node_seconds=node_seconds,
-        n_retries=n_retries,
-        n_timeouts=n_timeouts,
-        n_pool_rebuilds=n_pool_rebuilds,
+        n_retries=outcome.n_retries,
+        n_timeouts=outcome.n_timeouts,
+        n_pool_rebuilds=outcome.n_pool_rebuilds,
         n_resumed=n_resumed,
         n_degraded=0 if degraded is None else degraded.n_failed,
     )

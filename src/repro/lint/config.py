@@ -42,7 +42,7 @@ def _default_hot_paths() -> tuple[str, ...]:
 
 
 def _default_dispatchers() -> tuple[str, ...]:
-    return ("supervised_map", "parallel_map")
+    return ("supervised_map",)
 
 
 def _default_entry_points() -> tuple[str, ...]:

@@ -2,11 +2,11 @@
 
 CON001 is the classic leak: ``lock.acquire()`` with no lexical guarantee
 of release.  CON002 is repo-specific — a static race detector over the
-call graph: any function reachable from a ``supervised_map`` /
-``parallel_map`` worker argument must not write module-level mutable
-state, because on the thread backend those writes interleave, and on the
-process backend they silently *don't replicate* to the parent (the
-subtler bug: code that "works" serially and loses data in parallel).
+call graph: any function reachable from a ``supervised_map`` worker
+argument must not write module-level mutable state, because on the
+thread backend those writes interleave, and on the process backend they
+silently *don't replicate* to the parent (the subtler bug: code that
+"works" serially and loses data in parallel).
 """
 
 from __future__ import annotations

@@ -1121,31 +1121,17 @@ class ColumnarArchive:
         )
 
     @classmethod
-    def read_text_directory(
-        cls,
-        path: str | Path,
-        *,
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> "ColumnarArchive":
-        """Ingest a directory of text logs, one parallel work unit per file.
+    def read_text_directory(cls, path: str | Path) -> "ColumnarArchive":
+        """Ingest a directory of text logs, one file after another.
 
         Files are deduplicated by node stem and stem-sorted (shared with
         the reference reader), so node order — and therefore every
-        downstream frame — is deterministic regardless of backend.
+        downstream frame — is deterministic.
         """
-        from ..parallel import parallel_map, resolve_backend, resolve_workers
         from .store import directory_log_files
 
-        n_workers = resolve_workers(workers)
-        parts = parallel_map(
-            read_log_file,
-            directory_log_files(path),
-            backend=resolve_backend(backend, n_workers),
-            workers=n_workers,
-        )
-        merged = RecordColumns.concat(parts)
-        return cls(merged.split_by_node())
+        parts = [read_log_file(file) for file in directory_log_files(path)]
+        return cls(RecordColumns.concat(parts).split_by_node())
 
     # -- queries -----------------------------------------------------------
 

@@ -3,16 +3,19 @@
 The year-scale campaign decomposes into independent per-node work units
 (session track, fault models, record rendering — see
 :mod:`repro.faultinjection.campaign`).  This module provides the one
-primitive those call sites need: an order-preserving ``map`` over a
-selectable backend.
+primitive those call sites need: :func:`supervised_map`, an
+order-preserving, fault-tolerant ``map`` over a selectable backend.  One
+supervisor loop drives every backend through the
+:class:`~concurrent.futures.Executor` interface.
 
 Backends
 --------
 
 ``serial``
-    Plain in-process loop.  The reference implementation; every other
-    backend must produce bit-identical results (per-node RNG streams are
-    pure functions of ``(seed, key)``, so they do).
+    Each unit runs inline in the supervising thread, one at a time.  The
+    reference implementation; every other backend must produce
+    bit-identical results (per-node RNG streams are pure functions of
+    ``(seed, key)``, so they do).
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Useful when the
     work releases the GIL (NumPy bulk ops) or for I/O-bound maps; never
@@ -29,12 +32,14 @@ Backends
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Executor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -42,11 +47,12 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .core.errors import ConfigurationError
 
-#: Backend names accepted by :func:`parallel_map` and ``CampaignConfig``.
+#: Backend names accepted by :func:`supervised_map` and ``CampaignConfig``.
 BACKENDS = ("auto", "serial", "thread", "process")
 
 
@@ -123,40 +129,17 @@ def _process_pool(
     )
 
 
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    backend: str = "serial",
-    workers: int = 1,
-    initializer: Callable[..., None] | None = None,
-    initargs: Sequence[Any] = (),
-) -> list[Any]:
-    """Order-preserving map of ``fn`` over ``items`` on a backend.
+class _InlineExecutor(Executor):
+    """The serial backend: ``submit`` runs the unit in the calling thread
+    and returns its already-finished future."""
 
-    ``initializer(*initargs)`` runs once per worker process (``process``
-    backend) or once up front (``serial``/``thread``), letting work
-    functions share expensive per-process context through module globals
-    instead of pickling it into every task.
-    """
-    items = list(items)
-    workers = resolve_workers(workers)
-    backend = resolve_backend(backend, workers)
-    if backend == "serial" or not items or workers == 1 and backend != "process":
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in items]
-
-    if backend == "thread":
-        if initializer is not None:
-            initializer(*initargs)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-
-    # process backend
-    chunksize = max(1, len(items) // (workers * 4))
-    with _process_pool(workers, initializer, initargs) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +193,9 @@ class UnitFailure:
     index: int
     attempts: int
     kind: str   # one of FAILURE_KINDS (the *last* attempt's failure mode)
-    error: str  # repr of the last exception ("" for timeout/pool deaths)
+    #: repr of the last exception, "pool rebuild limit reached" for a unit
+    #: failed closed at the rebuild cap, "" for other timeout/pool deaths
+    error: str
 
 
 @dataclass
@@ -252,25 +237,25 @@ def _supervised_call(fn, item, key: str, attempt: int, chaos) -> Any:
 class _UnitState:
     """Supervisor-side bookkeeping for one work unit."""
 
-    __slots__ = ("index", "key", "item", "attempts", "done", "failure")
+    __slots__ = ("index", "key", "item", "attempts", "failure")
 
     def __init__(self, index: int, key: str, item: Any):
         self.index = index
         self.key = key
         self.item = item
         self.attempts = 0          # completed (failed) attempts so far
-        self.done = False
         self.failure: UnitFailure | None = None
 
 
-def _drain_pool(pool: ProcessPoolExecutor) -> None:
+def _drain_pool(pool: Executor) -> None:
     """Tear a pool down even if workers are hung or already dead.
 
     ``ProcessPoolExecutor`` has no public per-worker kill, so the
     watchdog terminates the worker processes directly (a documented-
     stable private attribute since 3.7) before the non-blocking
     shutdown; a plain shutdown would block forever behind a wedged
-    unit.
+    unit.  Thread and inline executors have no processes and just shut
+    down.
     """
     processes = getattr(pool, "_processes", None)
     if processes:
@@ -297,141 +282,110 @@ def supervised_map(
     on_unit_result: Callable[[int, str, Any], None] | None = None,
     max_pool_rebuilds: int = 8,
 ) -> SupervisedOutcome:
-    """Fault-tolerant, order-preserving map over the parallel backends.
+    """Fault-tolerant, order-preserving map of ``fn`` over ``items``.
 
-    The supervised twin of :func:`parallel_map`: each unit gets a retry
-    budget with exponential backoff (``retry``), a watchdog timeout
-    (``unit_timeout``; enforced on the process backend, where a wedged
-    worker can actually be killed), and the process pool is rebuilt on
+    Each unit gets a retry budget with exponential backoff (``retry``;
+    none by default), a watchdog timeout (``unit_timeout``; enforced on
+    the process backend, where a wedged worker can actually be killed,
+    and ignored on the others), and the process pool is rebuilt on
     :class:`BrokenProcessPool` with only in-flight units re-dispatched.
     Units must be pure functions of their item (true for the per-node
     campaign units: RNG streams are functions of ``(seed, key)``), so a
     retried unit returns a bit-identical value and the map's *result* is
     unchanged by any failure below the budget.
 
+    ``initializer(*initargs)`` runs once per worker process (``process``
+    backend) or once up front (``serial``/``thread``), letting work
+    functions share expensive per-process context through module globals
+    instead of pickling it into every task.
+
     ``keys`` names units for failure reporting and chaos targeting
     (default ``str(item)``).  ``on_unit_result(index, key, value)`` runs
-    in the supervising process as each unit first succeeds — the hook a
-    streamed campaign commits its units through.  It is never invoked
-    concurrently: the process and serial backends call it from the
-    supervisor loop, and the thread backend serializes calls through a
-    lock while still firing per completion, so commits stay incremental
-    on every backend.  Permanent failures become :class:`UnitFailure` entries
-    instead of exceptions; callers decide whether a degraded result is
-    acceptable.
+    in the supervising thread as each unit first succeeds — the hook a
+    streamed campaign commits its units through — so calls never overlap
+    and commits stay incremental on every backend.  Permanent failures
+    become :class:`UnitFailure` entries instead of exceptions; callers
+    decide whether a degraded result is acceptable.
     """
     items = list(items)
     keys = [str(item) for item in items] if keys is None else [str(k) for k in keys]
     if len(keys) != len(items):
         raise ConfigurationError("keys must match items one-to-one")
-    retry = retry or RetryPolicy(retries=0)
     workers = resolve_workers(workers)
     backend = resolve_backend(backend, workers)
     units = [_UnitState(i, key, item) for i, (key, item) in enumerate(zip(keys, items))]
     outcome = SupervisedOutcome(values=[None] * len(items))
 
-    if backend == "process" and items:
-        _supervise_process(
-            fn, units, outcome,
-            workers=workers,
-            initializer=initializer,
-            initargs=tuple(initargs),
-            retry=retry,
-            unit_timeout=unit_timeout,
-            chaos=chaos,
-            on_unit_result=on_unit_result,
-            max_pool_rebuilds=max_pool_rebuilds,
-        )
-        return outcome
-
-    # Serial/thread backends: retry in place.  A watchdog cannot preempt
-    # code sharing the supervisor's process, so ``unit_timeout`` is a
-    # process-backend feature; here hangs surface via the caller's own
-    # timeout (e.g. the CI-level pytest timeout).
-    if initializer is not None:
-        initializer(*initargs)
-    lock = threading.Lock()  # guards counters + callbacks on the thread backend
-
-    def run_unit(unit: _UnitState) -> None:
-        while True:
-            try:
-                value = _supervised_call(fn, unit.item, unit.key, unit.attempts + 1, chaos)
-            except Exception as exc:
-                unit.attempts += 1
-                if unit.attempts > retry.retries:
-                    unit.failure = UnitFailure(
-                        key=unit.key, index=unit.index, attempts=unit.attempts,
-                        kind="error", error=repr(exc),
-                    )
-                    return
-                with lock:
-                    outcome.n_retries += 1
-                time.sleep(retry.delay(unit.attempts))
-            else:
-                unit.done = True
-                outcome.values[unit.index] = value
-                return
-
-    if backend == "thread" and len(items) > 1:
-        # Completion callbacks fire as each unit succeeds (commits stay
-        # incremental — a driver crash mid-map loses only the units still
-        # running), serialized through the lock so the callback never
-        # sees interleaved calls.
-        def run_and_report(unit: _UnitState) -> None:
-            run_unit(unit)
-            if unit.done and on_unit_result is not None:
-                with lock:
-                    on_unit_result(unit.index, unit.key, outcome.values[unit.index])
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_and_report, units))
+    if backend == "process":
+        make_pool = partial(_process_pool, workers, initializer, initargs)
+        # With a watchdog, one slot per worker so a unit's deadline clock
+        # starts at (roughly) its execution start, not its submission;
+        # without one, a deeper window keeps workers fed while still
+        # keeping "in flight" — the set charged when the pool breaks —
+        # close to what is actually running.
+        window = workers if unit_timeout else workers * 4
     else:
-        for unit in units:
-            run_unit(unit)
-            if unit.done and on_unit_result is not None:
-                on_unit_result(unit.index, unit.key, outcome.values[unit.index])
+        # A watchdog cannot preempt code sharing the supervisor's
+        # process, so hangs here surface via the caller's own timeout
+        # (e.g. the CI-level pytest timeout).
+        unit_timeout = None
+        if initializer is not None:
+            initializer(*initargs)
+        if backend == "thread":
+            make_pool = partial(ThreadPoolExecutor, max_workers=workers)
+            window = workers * 4
+        else:
+            make_pool, window = _InlineExecutor, 1
 
+    _supervise(
+        fn, units, outcome,
+        make_pool=make_pool,
+        window=window,
+        retry=retry or RetryPolicy(retries=0),
+        unit_timeout=unit_timeout,
+        chaos=chaos,
+        on_unit_result=on_unit_result,
+        max_pool_rebuilds=max_pool_rebuilds,
+    )
     outcome.failures = [u.failure for u in units if u.failure is not None]
     return outcome
 
 
-def _supervise_process(
+def _supervise(
     fn,
     units: list[_UnitState],
     outcome: SupervisedOutcome,
     *,
-    workers: int,
-    initializer,
-    initargs: tuple,
+    make_pool: Callable[[], Executor],
+    window: int,
     retry: RetryPolicy,
     unit_timeout: float | None,
     chaos,
     on_unit_result,
     max_pool_rebuilds: int,
 ) -> None:
-    """The process-backend supervisor event loop.
+    """The supervisor event loop, one for every backend.
 
-    Tracks in-flight futures with per-unit deadlines; on a unit error it
-    schedules a backoff-delayed re-dispatch, on a watchdog expiry or a
-    broken pool it kills/rebuilds the pool and re-dispatches only the
-    units that were in flight.  Attempt accounting: the timed-out or
-    erroring unit is charged an attempt; when the pool breaks, every
-    in-flight unit is charged (the culprit is indistinguishable from
-    collateral damage, exactly as with a real dead blade).
+    Units wait in two heaps: ``waiting`` holds units serving a backoff
+    delay, keyed by ``(ready_at, index)``, and ``due`` holds units free
+    to run, keyed by ``index``.  Each pass moves the units whose delay
+    has elapsed into ``due``, dispatches the lowest index first up to
+    the window, and settles what finished in unit-index order, so a
+    unit costs O(log n) however large the map, and a unit retried
+    without backoff runs before the next one.
+
+    On a unit error it schedules a backoff-delayed re-dispatch; on a
+    watchdog expiry or a broken pool (process backend only) it
+    kills/rebuilds the pool and re-dispatches only the units that were
+    in flight.  Attempt accounting: the timed-out or erroring unit is
+    charged an attempt; when the pool breaks, every in-flight unit is
+    charged (the culprit is indistinguishable from collateral damage,
+    exactly as with a real dead blade).
     """
-
-    def make_pool() -> ProcessPoolExecutor:
-        return _process_pool(workers, initializer, initargs)
-
     pool = make_pool()
     inflight: dict[Future, tuple[_UnitState, float]] = {}
-    ready: list[tuple[float, _UnitState]] = [(0.0, u) for u in units]
-    # Bound the number of outstanding futures.  With a watchdog, one
-    # slot per worker so a unit's deadline clock starts at (roughly) its
-    # execution start, not its submission; without one, a deeper window
-    # keeps workers fed while still keeping "in flight" — the set charged
-    # when the pool breaks — close to what is actually running.
-    window = workers if unit_timeout else workers * 4
+    waiting: list[tuple[float, int]] = []
+    due = [unit.index for unit in units]  # ascending, so already a heap
 
     def fail(unit: _UnitState, kind: str, error: str = "") -> None:
         unit.failure = UnitFailure(
@@ -446,7 +400,23 @@ def _supervise_process(
             fail(unit, kind, error)
         else:
             outcome.n_retries += 1
-            ready.append((time.monotonic() + retry.delay(unit.attempts), unit))
+            ready_at = time.monotonic() + retry.delay(unit.attempts)
+            heapq.heappush(waiting, (ready_at, unit.index))
+
+    def settle(future: Future, unit: _UnitState) -> bool:
+        """Keep a finished unit's value or charge its error; False when
+        the pool broke under it."""
+        try:
+            value = future.result()
+        except BrokenProcessPool:
+            return False
+        except Exception as exc:
+            charge(unit, "error", repr(exc))
+        else:
+            outcome.values[unit.index] = value
+            if on_unit_result is not None:
+                on_unit_result(unit.index, unit.key, value)
+        return True
 
     def rebuild_pool(
         casualties: list[_UnitState],
@@ -466,38 +436,29 @@ def _supervise_process(
         inflight.clear()
         outcome.n_pool_rebuilds += 1
         if outcome.n_pool_rebuilds > max_pool_rebuilds:
-            for unit in casualties:
+            pending = [units[i] for _, i in waiting] + [units[i] for i in due]
+            for unit in [*casualties, *innocents, *pending]:
                 fail(unit, kind, "pool rebuild limit reached")
-            for unit in innocents:
-                fail(unit, kind, "pool rebuild limit reached")
-            for _, unit in ready:
-                fail(unit, kind, "pool rebuild limit reached")
-            ready.clear()
+            waiting.clear()
+            due.clear()
         else:
             for unit in casualties:
                 charge(unit, kind)
             for unit in innocents:
-                ready.append((0.0, unit))
+                heapq.heappush(due, unit.index)
         pool = make_pool()
 
+    def by_index(future: Future) -> int:
+        return inflight[future][0].index
+
     try:
-        while inflight or ready:
+        while inflight or waiting or due:
             now = time.monotonic()
-            # Dispatch units whose backoff delay has elapsed, up to the
-            # window, in (ready time, index) order for determinism.
-            ready.sort(key=lambda entry: (entry[0], entry[1].index))
-            still_waiting: list[tuple[float, _UnitState]] = []
+            while waiting and waiting[0][0] <= now:
+                heapq.heappush(due, heapq.heappop(waiting)[1])
             broke_at_submit: _UnitState | None = None
-            for ready_at, unit in ready:
-                if unit.failure is not None:
-                    continue
-                if (
-                    ready_at > now
-                    or broke_at_submit is not None
-                    or len(inflight) >= window
-                ):
-                    still_waiting.append((ready_at, unit))
-                    continue
+            while due and len(inflight) < window:
+                unit = units[heapq.heappop(due)]
                 try:
                     future = pool.submit(
                         _supervised_call, fn, unit.item, unit.key,
@@ -505,10 +466,9 @@ def _supervise_process(
                     )
                 except BrokenProcessPool:
                     broke_at_submit = unit
-                    continue
+                    break
                 deadline = now + unit_timeout if unit_timeout else float("inf")
                 inflight[future] = (unit, deadline)
-            ready[:] = still_waiting
             if broke_at_submit is not None:
                 casualties = [unit for unit, _ in inflight.values()]
                 casualties.append(broke_at_submit)
@@ -516,82 +476,63 @@ def _supervise_process(
                 continue
 
             if not inflight:
-                if ready:
-                    time.sleep(max(0.0, min(t for t, _ in ready) - time.monotonic()))
+                # Every unit left is serving its backoff delay.
+                time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
                 continue
 
-            # Wake at the earliest watchdog deadline or pending backoff
-            # expiry; units due now but window-blocked wait for the next
+            # Wake at the earliest watchdog deadline or backoff expiry;
+            # units due now but window-blocked wait for the next
             # completion instead (FIRST_COMPLETED), never a spin.
-            now = time.monotonic()
-            next_deadline = min(deadline for _, deadline in inflight.values())
-            future_ready = [t for t, _ in ready if t > now]
-            if future_ready:
-                next_deadline = min(next_deadline, min(future_ready))
+            wake = waiting[0][0] if waiting else float("inf")
+            if unit_timeout:
+                wake = min(wake, min(deadline for _, deadline in inflight.values()))
             wait_s = None
-            if next_deadline != float("inf"):
-                wait_s = max(0.0, next_deadline - now) + 0.01
+            if wake != float("inf"):
+                wait_s = max(0.0, wake - time.monotonic()) + 0.01
             done, _ = wait(inflight, timeout=wait_s, return_when=FIRST_COMPLETED)
 
             broken_units: list[_UnitState] = []
-            for future in done:
+            for future in sorted(done, key=by_index):
                 unit, _deadline = inflight.pop(future)
-                try:
-                    value = future.result()
-                except BrokenProcessPool:
+                if not settle(future, unit):
                     broken_units.append(unit)
-                except Exception as exc:
-                    charge(unit, "error", repr(exc))
-                else:
-                    unit.done = True
-                    outcome.values[unit.index] = value
-                    if on_unit_result is not None:
-                        on_unit_result(unit.index, unit.key, value)
             if broken_units:
                 # Everything still in flight died with the pool; units
-                # waiting in the ready queue never reached a worker and
-                # are not charged.
+                # waiting in the heaps never reached a worker and are
+                # not charged.
                 casualties = [unit for unit, _ in inflight.values()]
                 casualties += broken_units
                 rebuild_pool(casualties, "pool")
+                continue
+            if not unit_timeout:
                 continue
 
             # Watchdog: any in-flight unit past its deadline means a
             # wedged worker; the only reliable recovery is to kill the
             # pool.  One pass partitions the in-flight set: futures that
             # completed in the window since ``wait`` returned are
-            # harvested first (their results are final even though the
+            # settled first (their results are final even though the
             # pool is about to die — dropping them would leave a silent
             # ``None`` hole with no matching failure), expired units are
             # charged a (timeout) attempt, and innocent still-running
             # units are re-dispatched free of charge.
             now = time.monotonic()
-            completed: list[tuple[Future, _UnitState]] = []
+            completed: list[Future] = []
             expired: list[_UnitState] = []
             innocents: list[_UnitState] = []
             for future, (unit, deadline) in inflight.items():
                 if future.done():
-                    completed.append((future, unit))
+                    completed.append(future)
                 elif deadline <= now:
                     expired.append(unit)
                 else:
                     innocents.append(unit)
             if expired:
-                for future, unit in completed:
-                    try:
-                        value = future.result()
-                    except BrokenProcessPool:
+                for future in sorted(completed, key=by_index):
+                    unit = inflight[future][0]
+                    if not settle(future, unit):
                         charge(unit, "pool")
-                    except Exception as exc:
-                        charge(unit, "error", repr(exc))
-                    else:
-                        unit.done = True
-                        outcome.values[unit.index] = value
-                        if on_unit_result is not None:
-                            on_unit_result(unit.index, unit.key, value)
                 outcome.n_timeouts += len(expired)
                 rebuild_pool(expired, "timeout", innocents=innocents)
     finally:
         _drain_pool(pool)
-
-    outcome.failures = [u.failure for u in units if u.failure is not None]

@@ -32,3 +32,18 @@ def paper_campaign_result():
 @pytest.fixture(scope="session")
 def paper_analysis(paper_campaign_result) -> StudyAnalysis:
     return StudyAnalysis(paper_campaign_result)
+
+
+@pytest.fixture
+def node_01_02_raises(monkeypatch):
+    """Node 01-02's unit raises RuntimeError, as a dead blade's would."""
+    from repro.faultinjection import campaign
+
+    real = campaign.gen_background
+
+    def gen_background(track, config, rng):
+        if track.node == "01-02":
+            raise RuntimeError("dead blade")
+        return real(track, config, rng)
+
+    monkeypatch.setattr(campaign, "gen_background", gen_background)

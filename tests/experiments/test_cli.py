@@ -41,6 +41,14 @@ class TestCli:
         assert "raw error log lines" in captured.out
         assert "DEGRADED" in captured.err
 
+    def test_lost_unit_degrades_by_default(self, node_01_02_raises, capsys):
+        """Without --retries a lost node is still DEGRADED with exit 3,
+        never a traceback."""
+        assert main(["--quick", "--no-cache", "report"]) == 3
+        err = capsys.readouterr().err
+        assert "DEGRADED" in err
+        assert "RuntimeError" in err
+
     def test_unknown_experiment(self, capsys):
         """Rejected cleanly before the campaign runs (no traceback)."""
         assert main(["--quick", "experiment", "nope"]) == 2

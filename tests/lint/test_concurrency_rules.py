@@ -148,7 +148,7 @@ class TestCon002WorkerGlobalWrite:
         result, _ = lint_tree({
             "camp.py": textwrap.dedent(
                 """
-                from repro.parallel import parallel_map
+                from repro.parallel import supervised_map
 
                 _MEMO = None
 
@@ -158,7 +158,7 @@ class TestCon002WorkerGlobalWrite:
                     return item
 
                 def run(items):
-                    return parallel_map(work, items)
+                    return supervised_map(work, items)
                 """
             )
         })

@@ -245,22 +245,6 @@ class TestBatchParser:
             fh.write(format_record(rec) + "\n")
         assert read_log_file(path).to_records() == [rec]
 
-    def test_parallel_ingest_matches_serial(self, tmp_path):
-        archive = archive_of(
-            [
-                ErrorRecord(float(i), f"{1 + i % 3:02d}-01", 0x30 + 4 * i, 0x80,
-                            0xFFFFFFFF, 0xFFFFFFFF ^ (1 << (i % 7)), 25.0, 1 + i % 4)
-                for i in range(200)
-            ]
-        )
-        archive.write_directory(tmp_path)
-        serial = ColumnarArchive.read_text_directory(tmp_path)
-        threaded = ColumnarArchive.read_text_directory(
-            tmp_path, workers=4, backend="thread"
-        )
-        assert threaded.nodes == serial.nodes
-        assert_frames_identical(serial.error_frame(), threaded.error_frame())
-
 
 class TestMalformedText:
     @pytest.mark.parametrize(

@@ -30,13 +30,14 @@ from repro.core.errors import (
     ColumnarFormatError,
     ConfigurationError,
     ShardCorruptError,
+    SimulationError,
 )
-from repro.faultinjection import DegradedNode, DegradedResult, run_campaign
+from repro.faultinjection import DegradedResult, run_campaign
 from repro.faultinjection.config import quick_campaign_config
 from repro.logs.columnar import read_manifest
 from repro.logs.format import format_record
 from repro.logs.ingest import LiveArchive
-from repro.parallel import RetryPolicy, supervised_map
+from repro.parallel import RetryPolicy, UnitFailure, supervised_map
 
 # ---------------------------------------------------------------------------
 # helpers (module-level so the fork-based process backend can pickle them)
@@ -362,6 +363,16 @@ class TestSupervisedMapProcess:
         assert "u0" in outcome.failed_keys()
         assert all(f.kind == "pool" for f in outcome.failures)
 
+    def test_supervisor_cost_does_not_grow_with_the_map(self):
+        # Regression: every pass used to sort and rescan the whole ready
+        # queue, so 20,000 units took about a minute on two workers.
+        t0 = time.perf_counter()
+        outcome = supervised_map(_square, range(20_000), backend="process", workers=2)
+        elapsed = time.perf_counter() - t0
+        assert outcome.ok
+        assert outcome.values == [x * x for x in range(20_000)]
+        assert elapsed < 20.0, f"20,000 no-op units took {elapsed:.1f} s"
+
     def test_watchdog_rebuilds_respect_the_cap(self):
         # Regression: timeout-driven rebuilds used to bypass
         # max_pool_rebuilds, so a permanently wedged unit with a large
@@ -586,12 +597,44 @@ class TestCampaignFaultTolerance:
                 format_record(r) for r in quick_campaign.archive.records(node)
             ]
 
+    def test_lost_unit_without_retry_policy_raises(self, node_01_02_raises):
+        with pytest.raises(SimulationError, match="01-02"):
+            run_campaign(quick_campaign_config())
+
     def test_resume_against_wrong_config_refuses(self, chaos_checkpoint_campaign):
         _result, stream, _victim = chaos_checkpoint_campaign
         before = LiveArchive.open(stream).manifest
         with pytest.raises(CheckpointError):
             run_campaign(quick_campaign_config(seed=12345), stream_to=stream)
         assert LiveArchive.open(stream).manifest == before
+
+
+class TestDegradedSummary:
+    def test_summary_names_the_rebuild_cap(self):
+        degraded = DegradedResult(
+            nodes=(
+                UnitFailure(
+                    key="08-14", index=0, attempts=0, kind="timeout",
+                    error="pool rebuild limit reached",
+                ),
+            ),
+            n_planned=923,
+        )
+        assert "08-14 (timeout after 0 attempts: pool rebuild limit reached)" in (
+            degraded.summary()
+        )
+
+    def test_summary_without_error_text(self):
+        degraded = DegradedResult(
+            nodes=(
+                UnitFailure(key="08-14", index=0, attempts=1, kind="timeout", error=""),
+            ),
+            n_planned=923,
+        )
+        assert degraded.summary() == (
+            "degraded campaign: 922 of 923 nodes completed; "
+            "lost 08-14 (timeout after 1 attempts)"
+        )
 
 
 class TestDegradedResultsStayOutOfTheCache:
@@ -616,7 +659,9 @@ class TestDegradedResultsStayOutOfTheCache:
     def test_degraded_run_is_not_persisted_or_memoized(self, tmp_path, monkeypatch):
         degraded = DegradedResult(
             nodes=(
-                DegradedNode(node="01-01", attempts=3, kind="error", error="boom"),
+                UnitFailure(
+                    key="01-01", index=0, attempts=3, kind="error", error="boom"
+                ),
             ),
             n_planned=4,
         )
