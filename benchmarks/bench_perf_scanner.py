@@ -3,8 +3,11 @@
 The scan loop is the hot path of the bit-accurate simulator.  The gated
 test times the same multi-pattern region scan through both registered
 implementations of the ``scan.scan_region`` kernel — the per-word Python
-oracle and the whole-array XOR + nonzero rewrite — asserts their hits
-are identical, and gates on the ISSUE speedup target.
+oracle and the whole-array compare + ``flatnonzero`` rewrite, which XORs
+only the hits — asserts their hits are identical, and gates on a 10x
+speedup floor.  The 1 MiB region is one ``MemoryScanner`` verify block
+(``SCAN_BLOCK_WORDS``); the 16 MB clean-pass bench runs the scanner's
+block loop end to end.
 
 Every gated bench in this suite emits the same bench-JSON counter
 schema through ``benchmark.extra_info``: ``speedup``, ``baseline_s``,

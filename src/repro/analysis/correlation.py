@@ -9,12 +9,83 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..logs.frame import ErrorFrame
+
+
+def _betainc(a: float, b: float, x: float, x_complement: float) -> float:
+    """Regularized incomplete beta I_x(a, b), ``x_complement = 1 - x``.
+
+    The continued fraction (modified Lentz) converges fast for
+    ``x < (a + 1) / (a + b + 2)``; above that the symmetry
+    ``I_x(a, b) = 1 - I_{1-x}(b, a)`` is used.  Taking ``1 - x`` as an
+    argument keeps it exact when ``x`` is close to 1.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x_complement <= 0.0:
+        return 1.0
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, x_complement = b, a, x_complement, x
+    log_front = (
+        a * math.log(x)
+        + b * math.log1p(-x)
+        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    )
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    fraction = d
+    for m in range(1, 10_000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    tail = math.exp(log_front) * fraction / a
+    return 1.0 - tail if swap else tail
+
+
+def _pearsonr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Pearson r and its two-sided p-value, as ``scipy.stats.pearsonr``.
+
+    ``r`` is the dot product of the centered series divided by their
+    norms; under the null hypothesis ``t = r sqrt(df / (1 - r^2))``
+    follows Student's t with ``df = n - 2``, whose two-sided tail is
+    ``I_{df / (df + t^2)}(df / 2, 1 / 2)``.  A constant series has no
+    correlation: ``(nan, nan)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.shape[0]
+    if y.shape[0] != n:
+        raise ValueError("x and y must have the same length")
+    if n < 2:
+        raise ValueError("x and y must have length at least 2")
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return math.nan, math.nan
+    xm = x - x.mean()
+    ym = y - y.mean()
+    r = float(np.dot(xm / np.linalg.norm(xm), ym / np.linalg.norm(ym)))
+    r = min(max(r, -1.0), 1.0)
+    if n == 2:
+        return float(round(r)), 1.0
+    if abs(r) == 1.0:
+        return r, 0.0
+    df = n - 2
+    t2 = r * r * df / ((1.0 - r) * (1.0 + r))
+    return r, _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 @dataclass(frozen=True)
@@ -37,7 +108,7 @@ def scanned_vs_errors(
     daily_errors = np.asarray(daily_errors, dtype=np.float64)
     if daily_tbh.shape != daily_errors.shape:
         raise ValueError("daily series must be aligned")
-    r, p = stats.pearsonr(daily_tbh, daily_errors)
+    r, p = _pearsonr(daily_tbh, daily_errors)
     return PearsonResult(r=float(r), p_value=float(p), n=daily_tbh.shape[0])
 
 
@@ -105,5 +176,5 @@ def temperature_correlation(frame: ErrorFrame) -> PearsonResult | None:
     nb = frame.n_bits[has_temp].astype(np.float64)
     if np.all(t == t[0]) or np.all(nb == nb[0]):
         return PearsonResult(r=0.0, p_value=1.0, n=int(has_temp.sum()))
-    r, p = stats.pearsonr(t, nb)
+    r, p = _pearsonr(t, nb)
     return PearsonResult(r=float(r), p_value=float(p), n=int(has_temp.sum()))

@@ -53,25 +53,42 @@ class ChipkillSpec:
 
 
 class ChipkillCode:
-    """SSC-DSD symbol code over GF(2^symbol_bits)."""
+    """SSC-DSD symbol code over GF(2^symbol_bits).
+
+    The codec computes on Python ints: the check symbols XOR each data
+    symbol's entries in two per-position multiplier tables, and the
+    single-symbol test compares discrete logs.  It is the word-by-word
+    reference oracle of :mod:`repro.kernels.ecc`'s chipkill kernel.
+    """
 
     def __init__(self, spec: ChipkillSpec | None = None):
         self.spec = spec or ChipkillSpec()
         self.field = GF2m(self.spec.symbol_bits)
         if self.spec.n_symbols >= self.field.order:
             raise EccError("too many symbols for this field (code too long)")
-        self._idx = np.arange(self.spec.n_data_symbols, dtype=np.int64)
+        exp, log = self.field._exp, self.field._log
+        self._log = tuple(log.tolist())
+        self._log_order = self.field.order - 1
+        nonzero = np.arange(1, self.field.order)
+
+        def multiples(power: int) -> tuple[int, ...]:
+            """d * alpha^power for every field element d, indexed by d."""
+            return (0, *exp[(log[nonzero] + power) % self._log_order].tolist())
+
+        n = self.spec.n_data_symbols
+        self._times_alpha_i = tuple(multiples(i) for i in range(n))
+        self._times_alpha_2i = tuple(multiples(2 * i) for i in range(n))
 
     # -- symbol packing ---------------------------------------------------
 
-    def split_symbols(self, data: int) -> np.ndarray:
-        """Little-endian split of a data word into b-bit symbols."""
+    def _split(self, data: int) -> list[int]:
         b = self.spec.symbol_bits
         mask = (1 << b) - 1
-        return np.array(
-            [(int(data) >> (b * i)) & mask for i in range(self.spec.n_data_symbols)],
-            dtype=np.int64,
-        )
+        return [(data >> (b * i)) & mask for i in range(self.spec.n_data_symbols)]
+
+    def split_symbols(self, data: int) -> np.ndarray:
+        """Little-endian split of a data word into b-bit symbols."""
+        return np.array(self._split(int(data)), dtype=np.int64)
 
     def join_symbols(self, symbols: np.ndarray) -> int:
         b = self.spec.symbol_bits
@@ -82,75 +99,74 @@ class ChipkillCode:
 
     # -- encode / decode ------------------------------------------------------
 
+    def _checks(self, symbols: list[int]) -> tuple[int, int, int]:
+        """(c0, c1, c2) = (sum d_i, sum d_i alpha^i, sum d_i alpha^2i)."""
+        c0 = c1 = c2 = 0
+        for d, times_i, times_2i in zip(
+            symbols, self._times_alpha_i, self._times_alpha_2i
+        ):
+            c0 ^= d
+            c1 ^= times_i[d]
+            c2 ^= times_2i[d]
+        return c0, c1, c2
+
+    def _encode(self, data: int) -> list[int]:
+        if data < 0 or data >> self.spec.data_bits:
+            raise EccError(f"data does not fit in {self.spec.data_bits} bits")
+        symbols = self._split(data)
+        return symbols + list(self._checks(symbols))
+
     def encode(self, data: int) -> np.ndarray:
         """Codeword as an array of symbols: data symbols then 3 checks."""
-        if int(data) < 0 or int(data) >> self.spec.data_bits:
-            raise EccError(f"data does not fit in {self.spec.data_bits} bits")
-        d = self.split_symbols(data)
-        gf = self.field
-        c0 = int(np.bitwise_xor.reduce(d)) if d.size else 0
-        c1 = 0
-        c2 = 0
-        for i, di in enumerate(d):
-            c1 ^= int(gf.mul(int(di), int(gf.pow_alpha(i))))
-            c2 ^= int(gf.mul(int(di), int(gf.pow_alpha(2 * i))))
-        return np.concatenate([d, [c0, c1, c2]]).astype(np.int64)
+        return np.array(self._encode(int(data)), dtype=np.int64)
 
-    def _syndromes(self, received: np.ndarray) -> tuple[int, int, int]:
-        gf = self.field
-        d = received[: self.spec.n_data_symbols]
-        c0, c1, c2 = (int(x) for x in received[self.spec.n_data_symbols :])
-        s0 = int(np.bitwise_xor.reduce(d)) ^ c0
-        s1 = c1
-        s2 = c2
-        for i, di in enumerate(d):
-            s1 ^= int(gf.mul(int(di), int(gf.pow_alpha(i))))
-            s2 ^= int(gf.mul(int(di), int(gf.pow_alpha(2 * i))))
-        return s0, s1, s2
+    def _decode(self, received: list[int]) -> DecodeResult:
+        k = self.spec.n_data_symbols
+        symbols = received[:k]
+        c0, c1, c2 = self._checks(symbols)
+        s0, s1, s2 = c0 ^ received[k], c1 ^ received[k + 1], c2 ^ received[k + 2]
+        data = self.join_symbols(symbols)
+        if not (s0 or s1 or s2):
+            return DecodeResult(DecodeStatus.CLEAN, data)
+        # Hypothesis: single data-symbol error at position j with value e:
+        #   s0 = e, s1 = e*alpha^j, s2 = e*alpha^{2j}, so the ratios
+        #   s1/s0 and s2/s1 are both alpha^j: their logs agree and are j.
+        if s0 and s1 and s2:
+            log = self._log
+            j = (log[s1] - log[s0]) % self._log_order
+            if j == (log[s2] - log[s1]) % self._log_order and j < k:
+                return DecodeResult(
+                    DecodeStatus.CORRECTED,
+                    data ^ (s0 << (self.spec.symbol_bits * j)),
+                    j,
+                )
+        # Single *check*-symbol errors: exactly one syndrome nonzero.
+        if (s0 != 0) + (s1 != 0) + (s2 != 0) == 1:
+            return DecodeResult(DecodeStatus.CORRECTED, data, -1)
+        return DecodeResult(DecodeStatus.DETECTED, data)
 
     def decode(self, received: np.ndarray) -> DecodeResult:
         """Honest SSC-DSD decoding of a received symbol vector."""
         received = np.asarray(received, dtype=np.int64)
         if received.shape[0] != self.spec.n_symbols:
             raise EccError("received vector has wrong symbol count")
-        gf = self.field
-        s0, s1, s2 = self._syndromes(received)
-        data = self.join_symbols(received[: self.spec.n_data_symbols])
-        if s0 == 0 and s1 == 0 and s2 == 0:
-            return DecodeResult(DecodeStatus.CLEAN, data)
-        # Hypothesis: single data-symbol error at position j with value e:
-        #   s0 = e, s1 = e*alpha^j, s2 = e*alpha^{2j}
-        if s0 != 0 and s1 != 0 and s2 != 0:
-            ratio1 = int(gf.div(s1, s0))
-            ratio2 = int(gf.div(s2, s1))
-            if ratio1 == ratio2 and ratio1 != 0:
-                j = int(gf.log_alpha(ratio1))
-                if j < self.spec.n_data_symbols:
-                    corrected = received.copy()
-                    corrected[j] = int(corrected[j]) ^ s0
-                    return DecodeResult(
-                        DecodeStatus.CORRECTED,
-                        self.join_symbols(corrected[: self.spec.n_data_symbols]),
-                        j,
-                    )
-        # Single *check*-symbol errors: exactly one syndrome nonzero.
-        nonzero = (s0 != 0) + (s1 != 0) + (s2 != 0)
-        if nonzero == 1:
-            return DecodeResult(DecodeStatus.CORRECTED, data, -1)
-        return DecodeResult(DecodeStatus.DETECTED, data)
+        symbols = received.tolist()
+        if min(symbols) < 0 or max(symbols) >= self.field.order:
+            raise EccError(f"element outside GF(2^{self.field.m})")
+        return self._decode(symbols)
 
     def decode_flips(self, data: int, flip_mask_data: int) -> DecodeResult:
         """Replay a logical data corruption through the chipkill codec."""
-        codeword = self.encode(data)
-        flips = self.split_symbols(flip_mask_data)
-        received = codeword.copy()
-        received[: self.spec.n_data_symbols] ^= flips
-        result = self.decode(received)
-        if result.status is DecodeStatus.CORRECTED and result.data != int(data):
+        data = int(data)
+        received = self._encode(data)
+        for i, flip in enumerate(self._split(int(flip_mask_data))):
+            received[i] ^= flip
+        result = self._decode(received)
+        if result.status is DecodeStatus.CORRECTED and result.data != data:
             return DecodeResult(
                 DecodeStatus.MISCORRECTED, result.data, result.corrected_position
             )
-        if result.status is DecodeStatus.CLEAN and result.data != int(data):
+        if result.status is DecodeStatus.CLEAN and result.data != data:
             return DecodeResult(DecodeStatus.UNDETECTED, result.data)
         return result
 

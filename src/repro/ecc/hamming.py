@@ -70,7 +70,13 @@ class DecodeResult:
 
 
 class HammingSecded:
-    """A SECDED code over ``data_bits`` data bits (32 or 64 typical)."""
+    """A SECDED code over ``data_bits`` data bits (32 or 64 typical).
+
+    The codec computes on Python ints: data bits move to their Hamming
+    positions a run at a time, and each check or syndrome bit is the
+    parity of the codeword masked by the positions that check covers.
+    It is the word-by-word reference oracle of :mod:`repro.kernels.ecc`.
+    """
 
     def __init__(self, data_bits: int = 32):
         if data_bits < 4:
@@ -92,30 +98,32 @@ class HammingSecded:
         self._check_positions = positions[is_check]
         if self._data_positions.shape[0] != data_bits:
             raise EccError("internal: data position count mismatch")
-        # For syndrome computation: bitmask of each codeword position.
-        self._position_of_codeword_bit = np.concatenate(
-            ([0], positions)
-        )  # codeword bit i (0=parity) sits at Hamming position i
+        # Data bits fill the positions between check bits in order: run c
+        # is positions 2^c+1 .. 2^(c+1)-1, the last run cut at n_hamming.
+        # Each run is (first data bit, width mask, first position).
+        runs = []
+        first_bit = 0
+        for c in range(1, r):
+            lo = (1 << c) + 1
+            width = min((1 << (c + 1)) - 1, n_hamming) - lo + 1
+            runs.append((first_bit, (1 << width) - 1, lo))
+            first_bit += width
+        self._runs = tuple(runs)
+        #: cover[c]: the codeword bits whose Hamming position has bit c
+        #: set, check position 2^c included.
+        self._cover = tuple(
+            sum(1 << p for p in range(1, n_hamming + 1) if p >> c & 1)
+            for c in range(r)
+        )
 
     # -- helpers ------------------------------------------------------------
 
-    def _data_to_codeword_bits(self, data: int) -> np.ndarray:
-        """Spread data bits into an array indexed by Hamming position (1-based)."""
-        n_hamming = self.data_bits + self.check_bits
-        bits = np.zeros(n_hamming + 1, dtype=np.int64)  # index 0 unused here
-        data_bit_values = (int(data) >> np.arange(self.data_bits)) & 1
-        bits[self._data_positions] = data_bit_values
-        return bits
-
-    def _compute_checks(self, bits: np.ndarray) -> np.ndarray:
-        """Check-bit values for a position-indexed bit array."""
-        n_hamming = self.data_bits + self.check_bits
-        positions = np.arange(1, n_hamming + 1)
-        checks = np.zeros(self.check_bits, dtype=np.int64)
-        for i in range(self.check_bits):
-            mask = (positions & (1 << i)) != 0
-            checks[i] = int(np.bitwise_xor.reduce(bits[1:][mask]))
-        return checks
+    def _spread(self, data: int) -> int:
+        """Data bits at their codeword positions, check bits zero."""
+        codeword = 0
+        for first_bit, mask, pos in self._runs:
+            codeword |= (data >> first_bit & mask) << pos
+        return codeword
 
     # -- public API -----------------------------------------------------------
 
@@ -128,20 +136,19 @@ class HammingSecded:
         data = int(data)
         if data < 0 or data >> self.data_bits:
             raise EccError(f"data does not fit in {self.data_bits} bits")
-        bits = self._data_to_codeword_bits(data)
-        checks = self._compute_checks(bits)
-        bits[self._check_positions] = checks
-        overall = int(np.bitwise_xor.reduce(bits[1:]))
-        codeword = overall
-        for pos in range(1, bits.shape[0]):
-            codeword |= int(bits[pos]) << pos
-        return codeword
+        codeword = self._spread(data)
+        # No check position lies in another check's cover, so each check
+        # sees only data bits.
+        for c, cover in enumerate(self._cover):
+            codeword |= ((codeword & cover).bit_count() & 1) << (1 << c)
+        return codeword | (codeword.bit_count() & 1)
 
     def extract_data(self, codeword: int) -> int:
         """Pull the data bits out of a codeword (no checking)."""
+        codeword = int(codeword)
         data = 0
-        for i, pos in enumerate(self._data_positions):
-            data |= ((int(codeword) >> int(pos)) & 1) << i
+        for first_bit, mask, pos in self._runs:
+            data |= (codeword >> pos & mask) << first_bit
         return data
 
     def decode(self, codeword: int) -> DecodeResult:
@@ -149,21 +156,10 @@ class HammingSecded:
         codeword = int(codeword)
         if codeword < 0 or codeword >> self.codeword_bits:
             raise EccError("codeword width mismatch")
-        n_hamming = self.data_bits + self.check_bits
-        bits = np.zeros(n_hamming + 1, dtype=np.int64)
-        for pos in range(1, n_hamming + 1):
-            bits[pos] = (codeword >> pos) & 1
-        stored_checks = bits[self._check_positions]
-        computed = self._compute_checks(
-            self._masked_data_bits(bits)
-        )
         syndrome = 0
-        for i in range(self.check_bits):
-            if int(stored_checks[i]) != int(computed[i]):
-                syndrome |= 1 << i
-        overall_stored = codeword & 1
-        overall_computed = int(np.bitwise_xor.reduce(bits[1:]))
-        parity_ok = overall_stored == overall_computed
+        for c, cover in enumerate(self._cover):
+            syndrome |= ((codeword & cover).bit_count() & 1) << c
+        parity_ok = not codeword.bit_count() & 1
 
         if syndrome == 0 and parity_ok:
             return DecodeResult(DecodeStatus.CLEAN, self.extract_data(codeword))
@@ -176,19 +172,13 @@ class HammingSecded:
             # Nonzero syndrome + even parity = even number of flips: detected.
             return DecodeResult(DecodeStatus.DETECTED, self.extract_data(codeword))
         # Odd number of flips with nonzero syndrome: decoder assumes single.
-        if syndrome <= n_hamming:
+        if syndrome <= self.data_bits + self.check_bits:
             corrected = codeword ^ (1 << syndrome)
             return DecodeResult(
                 DecodeStatus.CORRECTED, self.extract_data(corrected), syndrome
             )
         # Syndrome points outside the codeword: provably uncorrectable.
         return DecodeResult(DecodeStatus.DETECTED, self.extract_data(codeword))
-
-    def _masked_data_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Bits array with check positions zeroed (for syndrome recompute)."""
-        out = bits.copy()
-        out[self._check_positions] = 0
-        return out
 
     def decode_flips(self, data: int, flip_mask_data: int) -> DecodeResult:
         """Encode ``data``, flip the given *data-bit* mask, decode.
@@ -197,12 +187,8 @@ class HammingSecded:
         observed a logical data-word corruption; what would a SECDED-
         protected DIMM have reported?
         """
-        codeword = self.encode(data)
-        cw_flips = 0
-        for i, pos in enumerate(self._data_positions):
-            if (int(flip_mask_data) >> i) & 1:
-                cw_flips |= 1 << int(pos)
-        result = self.decode(codeword ^ cw_flips)
+        data = int(data)
+        result = self.decode(self.encode(data) ^ self._spread(int(flip_mask_data)))
         # Refine CORRECTED for multi-bit inputs: if the decoder "corrected"
         # but the recovered data differs from the original, it miscorrected.
         if result.status is DecodeStatus.CORRECTED and result.data != data:

@@ -108,13 +108,18 @@ def _codec_replay(codec, expected: np.ndarray, actual: np.ndarray) -> np.ndarray
 
 
 def _secded_syndromes_reference(data: np.ndarray) -> np.ndarray:
-    """Per-word check-bit computation through the scalar codec."""
+    """Per-word check bits read from the scalar codec's codeword.
+
+    Check ``c`` sits at Hamming position ``2^c``, which is codeword bit
+    ``1 << c``.
+    """
     codec = SECDED_32
     words = _as_u64(data)
     out = np.empty((words.shape[0], codec.check_bits), dtype=np.uint8)
     for i in range(words.shape[0]):
-        bits = codec._data_to_codeword_bits(int(words[i]) & _WORD_MASK)
-        out[i, :] = codec._compute_checks(bits).astype(np.uint8)
+        codeword = codec.encode(int(words[i]) & _WORD_MASK)
+        for c in range(codec.check_bits):
+            out[i, c] = codeword >> (1 << c) & 1
     return out
 
 

@@ -1,11 +1,12 @@
 """Scanner verify kernels: whole-region pattern comparison.
 
 The scanner's inner loop checks every word of a region against the
-pattern value written on the previous pass.  The vectorized kernel does
-one XOR + ``flatnonzero`` pass per pattern and recovers per-hit flip
-masks (and, on demand, flipped bit positions via little-endian
-``unpackbits``); the reference kernel is the per-word Python loop the
-scanner shipped with, kept as the differential oracle.
+pattern value written on the previous pass.  The vectorized kernel
+compares the region with the pattern, runs ``flatnonzero`` over the
+boolean mask and XORs only the hits to recover their flip masks (and,
+on demand, flipped bit positions via little-endian ``unpackbits``); the
+reference kernel is the per-word Python loop the scanner shipped with,
+kept as the differential oracle.
 
 Both implementations return the same :class:`ScanHits` — hit order is
 ascending word index, so outputs compare with ``==`` on every array.
@@ -82,13 +83,16 @@ def _verify_words_reference(observed: np.ndarray, expected: int) -> ScanHits:
 
 
 def _verify_words_vectorized(observed: np.ndarray, expected: int) -> ScanHits:
-    """One XOR + nonzero pass over the whole region."""
+    """One compare + nonzero pass over the region; XOR only at the hits.
+
+    The compare writes a bool mask a quarter the size of the region,
+    where a whole-region XOR would allocate a second full-size copy.
+    """
     words = _as_words(observed)
-    flips = np.bitwise_xor(words, np.uint32(int(expected) & _WORD_MASK))
-    index = np.flatnonzero(flips).astype(np.int64)
-    return ScanHits(
-        word_index=index, actual=words[index], flip_mask=flips[index]
-    )
+    value = np.uint32(int(expected) & _WORD_MASK)
+    index = np.flatnonzero(words != value).astype(np.int64, copy=False)
+    actual = words[index]
+    return ScanHits(word_index=index, actual=actual, flip_mask=actual ^ value)
 
 
 verify_words = register_kernel(

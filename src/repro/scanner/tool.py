@@ -4,11 +4,14 @@ This is the paper's scanning tool (Sec II-B) translated onto the simulated
 DRAM: write every word with the pattern value, verify on the next pass,
 log an ERROR entry (timestamp, node, virtual address, expected, actual,
 temperature, physical page) for each mismatch, then rewrite with the next
-pattern value.  Verification runs through the dispatched
-:mod:`repro.kernels.scan` verify kernel (one XOR + nonzero pass over the
-whole buffer; ``REPRO_KERNELS=reference`` swaps in the per-word oracle),
-and address translation is array-at-once, so only actual mismatches drop
-to Python to build log records.
+pattern value.  Each verify pass reads the device one 1 MiB block
+(``SCAN_BLOCK_WORDS``) at a time and checks the block with the
+dispatched :mod:`repro.kernels.scan` verify kernel (a compare plus
+``flatnonzero``, XOR only at the hits; ``REPRO_KERNELS=reference`` swaps
+in the per-word oracle), so a pass never holds a copy of the whole
+device.  Address translation is array-at-once over a pass's hits, so only
+actual mismatches drop to Python to build log records, in ascending word
+order.
 
 Fault injection happens *between* iterations through a caller-provided
 hook, mimicking physics striking while the scanner sleeps through a pass.
@@ -19,12 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from ..core.records import EndRecord, ErrorRecord, StartRecord
 from ..dram.device import SimulatedDram
 from ..kernels.scan import verify_words
 
 #: Signature of an injection hook: (iteration, device) -> None.
 InjectionHook = Callable[[int, SimulatedDram], None]
+
+#: Words read and verified at a time (1 MiB): a block's copy and compare
+#: mask stay small and cache-resident whatever the device size.
+SCAN_BLOCK_WORDS = 1 << 18
 
 
 @dataclass
@@ -103,12 +112,19 @@ class MemoryScanner:
             if inject is not None:
                 inject(iteration, self.device)
             expected = int(self.pattern.value_at(iteration - 1))
-            observed = self.device.read_block()
-            hits = verify_words(observed, expected)
-            if len(hits):
+            hit_words: list[np.ndarray] = []
+            hit_values: list[np.ndarray] = []
+            for offset in range(0, self.device.n_words, SCAN_BLOCK_WORDS):
+                block = self.device.read_block(offset, SCAN_BLOCK_WORDS)
+                hits = verify_words(block, expected)
+                if len(hits):
+                    hit_words.append(hits.word_index + offset)
+                    hit_values.append(hits.actual)
+            if hit_words:
+                words = np.concatenate(hit_words)
                 amap = self.device.address_map
-                addresses = amap.virtual_address(hits.word_index)
-                pages = amap.physical_page(hits.word_index)
+                addresses = amap.virtual_address(words)
+                pages = amap.physical_page(words)
                 temp = self._temp(t)
                 result.errors.extend(
                     ErrorRecord(
@@ -120,7 +136,9 @@ class MemoryScanner:
                         actual=int(word),
                         temperature_c=temp,
                     )
-                    for va, pp, word in zip(addresses, pages, hits.actual)
+                    for va, pp, word in zip(
+                        addresses, pages, np.concatenate(hit_values)
+                    )
                 )
             # Rewrite pass with the next value (clears transient flips;
             # stuck bits will mismatch again next iteration).

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import EccError
@@ -126,6 +126,28 @@ class TestMultibitHonesty:
         result = SECDED_64.decode_flips(data, 1 << bit)
         assert result.status is DecodeStatus.CORRECTED
         assert result.data == data
+
+
+class TestSecded64FullWidth:
+    """Every 64-bit payload, bit 63 included, round-trips and is protected."""
+
+    @settings(max_examples=100)
+    @example(data=1 << 63, pair=[0, 63])
+    @given(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.lists(
+            st.integers(min_value=0, max_value=63), min_size=2, max_size=2,
+            unique=True,
+        ),
+    )
+    def test_roundtrip_single_and_double_flips(self, data, pair):
+        assert SECDED_64.extract_data(SECDED_64.encode(data)) == data
+        for bit in range(64):
+            result = SECDED_64.decode_flips(data, 1 << bit)
+            assert result.status is DecodeStatus.CORRECTED
+            assert result.data == data
+        double = SECDED_64.decode_flips(data, (1 << pair[0]) | (1 << pair[1]))
+        assert double.status is DecodeStatus.DETECTED
 
 
 class TestValidation:

@@ -24,9 +24,9 @@ class TestSyndromes:
     @settings(max_examples=100)
     def test_matches_scalar_checks(self, data):
         batch = secded_syndromes(np.array([data], dtype=np.uint64))[0]
-        bits = SECDED_32._data_to_codeword_bits(data)
-        scalar = SECDED_32._compute_checks(bits)
-        assert batch.tolist() == [int(x) for x in scalar]
+        codeword = SECDED_32.encode(data)
+        scalar = [codeword >> (1 << c) & 1 for c in range(SECDED_32.check_bits)]
+        assert batch.tolist() == scalar
 
 
 class TestEquivalence:

@@ -1,9 +1,10 @@
 """The serving tier's import footprint.
 
 `repro serve` and the live path load logs, query and server only.  A
-stray import of the analysis package drags in scipy and the campaign
-simulator, several times the start-up time and memory of the server
-itself, so a fresh interpreter must come up without them.
+stray import of the analysis package drags in the campaign simulator,
+several times the start-up time and memory of the server itself, so a
+fresh interpreter must come up without it, and without scipy, which
+only the tests use.
 """
 
 from __future__ import annotations

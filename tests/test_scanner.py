@@ -11,11 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.records import EndRecord, ErrorRecord, StartRecord
-from repro.dram.addressing import BitSwizzle
-from repro.dram.device import make_device
-from repro.dram.faults import StuckCell, TransientFlip
+from repro.dram.addressing import AddressMap, BitSwizzle
+from repro.dram.device import DeviceSpec, SimulatedDram, make_device
+from repro.dram.faults import MultiCellEvent, StuckCell, TransientFlip
+from repro.kernels.scan import verify_words
 from repro.scanner.patterns import AlternatingPattern, CountingPattern
-from repro.scanner.tool import MemoryScanner, schedule_hook
+from repro.scanner.tool import (
+    SCAN_BLOCK_WORDS,
+    MemoryScanner,
+    ScanResult,
+    schedule_hook,
+)
 
 ITER_HOURS = 10.0 / 3600.0
 
@@ -149,3 +155,118 @@ class TestScannerValidation:
             50.0 + ITER_HOURS
         )
         assert result.end.temperature_c is not None
+
+
+def _whole_device_run(scanner, start_hours, max_iterations, inject):
+    """Oracle: the scan loop verifying the whole device in one block.
+
+    One ``read_block()`` and one ``verify_words`` call per pass, as the
+    scanner did before it verified a block at a time.
+    """
+    device = scanner.device
+    result = ScanResult(
+        node=scanner.node,
+        start=StartRecord(
+            timestamp_hours=start_hours,
+            node=scanner.node,
+            allocated_mb=(device.n_words * 4) // (1024 * 1024),
+            temperature_c=scanner._temp(start_hours),
+        ),
+        end=None,
+    )
+    device.fill(scanner.pattern.value_at(0))
+    t = start_hours + scanner.iteration_hours
+    for iteration in range(1, max_iterations + 1):
+        inject(iteration, device)
+        expected = int(scanner.pattern.value_at(iteration - 1))
+        hits = verify_words(device.read_block(), expected)
+        if len(hits):
+            addresses = device.address_map.virtual_address(hits.word_index)
+            pages = device.address_map.physical_page(hits.word_index)
+            temp = scanner._temp(t)
+            result.errors.extend(
+                ErrorRecord(
+                    timestamp_hours=t,
+                    node=scanner.node,
+                    virtual_address=int(va),
+                    physical_page=int(pp),
+                    expected=expected,
+                    actual=int(word),
+                    temperature_c=temp,
+                )
+                for va, pp, word in zip(addresses, pages, hits.actual)
+            )
+        device.fill(scanner.pattern.value_at(iteration))
+        result.iterations = iteration
+        t += scanner.iteration_hours
+    result.end = EndRecord(
+        timestamp_hours=t, node=scanner.node, temperature_c=scanner._temp(t)
+    )
+    return result
+
+
+class TestBlockBoundaries:
+    """Block-at-a-time verify against the whole-device oracle."""
+
+    def _compare(self, make, schedule, n_iter=6):
+        runs = []
+        for run in (MemoryScanner.run, _whole_device_run):
+            calls = []
+
+            def temperature(t, calls=calls):
+                calls.append(t)
+                return 30.0 + len(calls)
+
+            scanner = _scanner(make(), temperature=temperature)
+            result = run(scanner, 5.0, n_iter, schedule_hook(schedule))
+            runs.append((result, calls))
+        (got, got_calls), (want, want_calls) = runs
+        assert got.records == want.records
+        assert got_calls == want_calls
+        return got
+
+    def test_hits_across_three_blocks(self):
+        b = SCAN_BLOCK_WORDS
+        schedule = {
+            1: [StuckCell(word_index=2 * b + 77, mask=0x10, value=0x0)],
+            2: [
+                TransientFlip(word_index=b - 1, flip_mask=0x1),
+                TransientFlip(word_index=b, flip_mask=0x80000000),
+            ],
+            3: [
+                MultiCellEvent(
+                    flips=(
+                        TransientFlip(word_index=2 * b - 1, flip_mask=0x4),
+                        TransientFlip(word_index=2 * b, flip_mask=0x8),
+                    )
+                )
+            ],
+        }
+        result = self._compare(
+            lambda: make_device(3, swizzle=BitSwizzle.identity()), schedule
+        )
+        # The stuck-low bit shows on the all-ones passes 2, 4 and 6, so
+        # pass 2 has hits in all three blocks; pass 3 has the event's two.
+        passes = [
+            round((e.timestamp_hours - 5.0) / ITER_HOURS) for e in result.errors
+        ]
+        assert passes == [2, 2, 2, 3, 3, 4, 6]
+
+    def test_partial_last_block(self):
+        n_words = 3 * SCAN_BLOCK_WORDS + 12_345
+
+        def make():
+            return SimulatedDram(
+                DeviceSpec(n_words=n_words, swizzle=BitSwizzle.identity()),
+                AddressMap(n_words=n_words),
+            )
+
+        schedule = {
+            2: [
+                TransientFlip(word_index=n_words - 1, flip_mask=0x2),
+                TransientFlip(word_index=3 * SCAN_BLOCK_WORDS, flip_mask=0x40),
+            ],
+            4: [TransientFlip(word_index=17, flip_mask=0x1)],
+        }
+        result = self._compare(make, schedule)
+        assert len(result.errors) == 3
