@@ -972,36 +972,74 @@ def compute_zone_map(cols: RecordColumns) -> dict:
     (the paper's "#bits"), which is what lets multi-bit queries skip
     single-bit-only shards without opening them.
     """
+    return zone_maps_of(group_zone_columns(cols, [len(cols)]))[0]
+
+
+def group_zone_columns(cols: RecordColumns, counts) -> dict[str, np.ndarray]:
+    """The zone maps of consecutive row groups, as columns.
+
+    Group ``i`` is the next ``counts[i]`` rows of ``cols`` (a group may
+    be empty).  Row ``i`` of each column describes group ``i``:
+    ``n_records``, ``n_temp``, the ``t_lo``/``t_hi`` and
+    ``temp_lo``/``temp_hi`` ranges (NaN where the zone map holds None),
+    ``kinds`` (counts of kind codes 0-3) and the ERROR rows' ``bits``
+    range as ``bits_lo``/``bits_hi`` with ``has_bits`` (64, 0 when
+    the group has no ERROR row).  Every field is one ufunc ``reduceat``
+    over the whole column, so the per-node zones of a fleet-size
+    segment cost a few passes over its rows.
+    """
     from ..core import bitops
 
-    n = len(cols)
-    zone: dict = {
-        "n_records": n,
-        "t": None,
-        "temp": None,
-        "n_temp": 0,
-        "kinds": {},
-        "bits": None,
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.shape[0]
+    out = {
+        name: np.full(n, np.nan, dtype=np.float64)
+        for name in ("t_lo", "t_hi", "temp_lo", "temp_hi")
     }
-    if n == 0:
-        return zone
-    zone["t"] = [float(cols.t.min()), float(cols.t.max())]
-    has_temp = ~np.isnan(cols.temp)
-    n_temp = int(has_temp.sum())
-    zone["n_temp"] = n_temp
-    if n_temp:
-        logged = cols.temp[has_temp]
-        zone["temp"] = [float(logged.min()), float(logged.max())]
-    kinds, counts = np.unique(cols.kind, return_counts=True)
-    zone["kinds"] = {str(int(k)): int(c) for k, c in zip(kinds, counts)}
-    err = cols.kind == KIND_ERROR
-    if err.any():
+    out.update(
+        n_records=counts,
+        n_temp=np.zeros(n, dtype=np.int64),
+        kinds=np.zeros((n, 4), dtype=np.int64),
+        bits_lo=np.full(n, 64, dtype=np.int64),
+        bits_hi=np.zeros(n, dtype=np.int64),
+    )
+    full = counts > 0
+    if full.any():
+        starts = (np.cumsum(counts) - counts)[full]
+        logged = ~np.isnan(cols.temp)
+        err = cols.kind == KIND_ERROR
         bits = np.asarray(
-            bitops.n_flipped_bits(cols.expected[err], cols.actual[err]),
-            dtype=np.int64,
+            bitops.n_flipped_bits(cols.expected, cols.actual), dtype=np.int64
         ).reshape(-1)
-        zone["bits"] = [int(bits.min()), int(bits.max())]
-    return zone
+        out["t_lo"][full] = np.minimum.reduceat(cols.t, starts)
+        out["t_hi"][full] = np.maximum.reduceat(cols.t, starts)
+        out["n_temp"][full] = np.add.reduceat(logged, starts, dtype=np.int64)
+        out["temp_lo"][full] = np.fmin.reduceat(cols.temp, starts)
+        out["temp_hi"][full] = np.fmax.reduceat(cols.temp, starts)
+        out["kinds"][full] = np.add.reduceat(
+            cols.kind[:, None] == np.arange(4), starts, axis=0, dtype=np.int64
+        )
+        out["bits_lo"][full] = np.minimum.reduceat(np.where(err, bits, 64), starts)
+        out["bits_hi"][full] = np.maximum.reduceat(np.where(err, bits, 0), starts)
+    out["has_bits"] = out["kinds"][:, KIND_ERROR] > 0
+    return out
+
+
+def zone_maps_of(columns: dict[str, np.ndarray]) -> list[dict]:
+    """The zone-map dicts of :func:`group_zone_columns` rows."""
+    # repro: noqa[NPY002]: manifest JSON boundary — zone maps are Python values
+    c = {name: arr.tolist() for name, arr in columns.items()}
+    zones = []
+    for i, n in enumerate(c["n_records"]):
+        zones.append({
+            "n_records": n,
+            "t": [c["t_lo"][i], c["t_hi"][i]] if n else None,
+            "temp": [c["temp_lo"][i], c["temp_hi"][i]] if c["n_temp"][i] else None,
+            "n_temp": c["n_temp"][i],
+            "kinds": {str(k): m for k, m in enumerate(c["kinds"][i]) if m},
+            "bits": [c["bits_lo"][i], c["bits_hi"][i]] if c["has_bits"][i] else None,
+        })
+    return zones
 
 
 def manifest_fingerprint(manifest: dict) -> str:

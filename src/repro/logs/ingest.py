@@ -55,10 +55,12 @@ from .columnar import (
     canonical_sort_order,
     compute_zone_map,
     entry_nodes,
+    group_zone_columns,
     manifest_fingerprint,
     read_manifest,
     shard_payload,
     write_manifest_atomic,
+    zone_maps_of,
 )
 
 LOCK_NAME = ".ingest.lock"
@@ -66,8 +68,9 @@ LOCK_NAME = ".ingest.lock"
 #: Segments covering at most this many nodes carry exact per-node
 #: ``node_zones`` in their manifest entry, which keeps pruning-counter
 #: behaviour identical before and after compaction.  Larger segments
-#: (fleet-scale flushes) fall back to one aggregate ``zone_map`` so the
-#: manifest stays bounded.
+#: (fleet-scale flushes) carry only the aggregate ``zone_map`` so the
+#: manifest stays bounded; a query source derives their exact per-node
+#: zones from the segment itself when it first decodes it.
 NODE_ZONE_LIMIT = 256
 
 #: Chaos injection points of one segment+manifest commit, in protocol
@@ -140,9 +143,10 @@ def _publish_segment(
         entry["nodes"] = names
         entry["n_nodes"] = len(names)
         if len(names) <= NODE_ZONE_LIMIT:
-            entry["node_zones"] = {
-                name: compute_zone_map(per_node[name]) for name in names
-            }
+            counts = [len(part) for part in ordered]
+            entry["node_zones"] = dict(
+                zip(names, zone_maps_of(group_zone_columns(cols, counts)))
+            )
     return entry
 
 

@@ -236,7 +236,7 @@ def _as_engine(target) -> QueryEngine:
 def _node_universe(engine: QueryEngine, nodes: Sequence[str] | None) -> tuple[str, ...]:
     if nodes is not None:
         return tuple(nodes)
-    return tuple(sorted(s.node for s in engine.source.shards()))
+    return engine.source.shards().nodes
 
 
 def _scatter(

@@ -4,9 +4,10 @@ The paper's analyses are predicate-plus-aggregate scans over the raw
 error population (errors by node/hour/temperature/bit-count).  This
 package answers them without materializing whole archives: a small
 logical plan (``scan -> filter -> project -> group-aggregate ->
-order/limit``), executed with vectorized NumPy kernels, **per-shard
-zone maps** (format v2 manifests, :mod:`repro.logs.columnar`) so shard
-files that cannot match a predicate are never read from disk, lazy
+order/limit``), executed with vectorized NumPy kernels, **zone maps**
+(format v2 manifests, :mod:`repro.logs.columnar`; one
+:class:`ZoneTable` per snapshot, pruned in one pass) so shard files
+that cannot match a predicate are never read from disk, lazy
 per-shard column loading, and an LRU result cache keyed by
 ``(archive fingerprint, plan digest)``.
 
@@ -16,6 +17,7 @@ See ``docs/QUERY.md`` for the plan language and semantics.
 from .cache import QueryCache
 from .engine import ExecutionStats, QueryEngine, QueryResult
 from .plan import Aggregate, Derive, Predicate, Query, QueryPlanError
+from .prune import ZoneTable
 from .resilient import (
     CircuitBreaker,
     ExecutionOutcome,
@@ -25,7 +27,7 @@ from .resilient import (
     StaleResultCache,
 )
 from .scatter import ScatterGatherEngine, ScatterResult
-from .source import ArchiveSource, MemorySource, ShardInfo, as_source
+from .source import ArchiveSource, MemorySource, as_source
 
 __all__ = [
     "Aggregate",
@@ -46,7 +48,7 @@ __all__ = [
     "ResilientSource",
     "ScatterGatherEngine",
     "ScatterResult",
-    "ShardInfo",
     "StaleResultCache",
+    "ZoneTable",
     "as_source",
 ]

@@ -1,9 +1,11 @@
 """The vectorized executor: plans in, column arrays out.
 
-Execution is shard-at-a-time: prune against the zone map, load only the
-base columns the plan touches, materialize derived columns, evaluate
-the filter conjunction as one boolean mask, then either collect
-projected rows or fold the shard into the group-aggregate accumulator.
+Execution is node-at-a-time: one vectorized pass over the snapshot's
+zone table picks the nodes that may match, then each of them, in name
+order, loads only the base columns the plan touches, materializes
+derived columns, evaluates the filter conjunction as one boolean mask,
+and either collects projected rows or folds into the group-aggregate
+accumulator.
 No record objects, no per-row Python — every stage is a NumPy kernel.
 The derived columns repeat the arithmetic of the :mod:`repro.analysis`
 histograms to the ufunc, so a plan that bins the error rows gives the
@@ -21,7 +23,7 @@ from ..core import bitops
 from ..core.errors import QueryPlanError
 from .cache import QueryCache
 from .plan import BASE_COLUMNS, Aggregate, Predicate, Query
-from .prune import shard_may_match
+from .prune import prune_mask
 from .source import as_source
 
 # ---------------------------------------------------------------------------
@@ -221,21 +223,27 @@ class QueryEngine:
         if not base_needed - {"node"}:
             base_needed.add("kind")  # narrowest column, for row counts
 
-        shards = self.source.shards()
+        table = self.source.shards()
+        scan = (
+            prune_mask(table, plan.filters, derives)
+            if self.prune
+            else np.ones(len(table), dtype=bool)
+        )
+        stats.shards_total = len(table)
         if plan.nodes is not None:
             wanted_nodes = set(plan.nodes)
-            shards = [s for s in shards if s.node in wanted_nodes]
-        stats.shards_total = len(shards)
+            listed = np.fromiter(
+                (node in wanted_nodes for node in table.nodes), bool, len(table)
+            )
+            stats.shards_total = int(listed.sum())
+            scan &= listed
+        nodes = [table.nodes[row] for row in np.flatnonzero(scan)]
+        stats.shards_scanned = len(nodes)
+        stats.shards_pruned = stats.shards_total - stats.shards_scanned
 
         parts: list[dict[str, np.ndarray]] = []
-        for shard in shards:
-            if self.prune and not shard_may_match(
-                shard.zone_map, shard.node, plan.filters, derives
-            ):
-                stats.shards_pruned += 1
-                continue
-            stats.shards_scanned += 1
-            base = self.source.load_columns(shard.node, base_needed)
+        for node in nodes:
+            base = self.source.load_columns(node, base_needed)
             n = int(next(iter(base.values())).shape[0]) if base else 0
             stats.rows_scanned += n
             if n == 0:

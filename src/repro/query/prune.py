@@ -1,226 +1,318 @@
-"""Zone-map pruning: decide, per shard, whether any row *could* match.
+"""Zone-map pruning: for every node at once, could any row match?
 
-The rule is strictly conservative — ``shard_may_match`` may only return
-False when the zone map proves the filter conjunction is unsatisfiable
-on that shard.  Columns without zone information (``hour``, ``day``,
-``temp_bin``) always answer "maybe"; v1 manifests carry no zone maps at
-all, so every shard answers "maybe" and pruning degrades to a no-op.
+A :class:`ZoneTable` holds one archive snapshot's zone maps as columns,
+one row per node in name order, and :func:`prune_mask` evaluates a
+plan's filter conjunction against all of it in one vectorized pass.
 
-A property test in ``tests/query`` enforces the contract the other way
-round: for random plans, results with pruning enabled must equal
-results with pruning disabled.
+The rule is strictly conservative: a node is pruned only when its zone
+proves the conjunction unsatisfiable.  A column without zone
+information, a node without a zone map (v1 manifests carry none) and a
+value the column cannot be compared with (a string against ``t``) all
+answer "maybe".  Comparisons follow Python's scalar semantics, so the
+mask equals the per-node rules it replaced, which
+``tests/query/scalar_prune.py`` keeps as a differential-test oracle.
 """
 
 from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..logs.columnar import KIND_ERROR
 from .plan import Derive, Predicate
 
+_COMPARE = {
+    "eq": operator.eq,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
 
-def _interval_may_match(lo, hi, pred: Predicate) -> bool:
-    """Can any value in [lo, hi] satisfy the predicate?"""
-    op, v = pred.op, pred.value
-    try:
-        if op == "eq":
-            return lo <= v <= hi
-        if op == "ne":
-            return not (lo == hi == v)
-        if op == "lt":
-            return lo < v
-        if op == "le":
-            return lo <= v
-        if op == "gt":
-            return hi > v
-        if op == "ge":
-            return hi >= v
-        if op == "in":
-            return any(lo <= item <= hi for item in v)
-    except TypeError:
-        return True  # incomparable types: let the executor decide
-    return True
+#: How a node's part zones combine into its zone, field by field.  An
+#: absent range is NaN for ``t``/``temp`` and the empty ``bits`` range
+#: (64, 0), so min/max merges need no special case.
+_MERGE = {
+    "n_records": np.add,
+    "n_parts": np.add,
+    "known": np.logical_and,
+    "t_lo": np.fmin,
+    "t_hi": np.fmax,
+    "n_temp": np.add,
+    "temp_lo": np.fmin,
+    "temp_hi": np.fmax,
+    "kinds": np.add,
+    "bits_lo": np.minimum,
+    "bits_hi": np.maximum,
+    "has_bits": np.logical_or,
+}
 
 
-def _widen_f32(lo: float, hi: float) -> tuple[float, float]:
-    """Bounds that survive a float64 -> float32 -> float64 round trip.
+@dataclass(frozen=True, eq=False)
+class ZoneTable:
+    """Zone maps of one archive snapshot as columns, one row per node.
 
-    ``temp_c`` re-rounds shard temperatures through float32 (the
-    ErrorFrame dtype); rounding can push a value just past the shard's
-    float64 min/max, so pruning against ``temp_c`` widens the zone by
-    one float32 ULP on each side.
+    ``nodes`` are sorted names.  A node is ``known`` when every part of
+    it (``n_parts`` manifest entries) has a zone map; otherwise its
+    other columns are not consulted and it is never pruned.  ``t_lo``/
+    ``t_hi`` and ``temp_lo``/``temp_hi`` are NaN where the zone map
+    holds None, ``kinds`` counts kind codes 0-3, and ``bits_lo``/
+    ``bits_hi`` are the ERROR rows' flipped-bit range where
+    ``has_bits`` (the empty range 64, 0 elsewhere).  ``n_records`` is
+    exact for every node whose parts can say (a v1 shard entry's
+    count; 0 when absent).
     """
-    lo32 = np.nextafter(np.float32(lo), np.float32(-np.inf))
-    hi32 = np.nextafter(np.float32(hi), np.float32(np.inf))
-    return float(lo32), float(hi32)
+
+    nodes: tuple[str, ...]
+    n_records: np.ndarray
+    n_parts: np.ndarray
+    known: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    n_temp: np.ndarray
+    temp_lo: np.ndarray
+    temp_hi: np.ndarray
+    kinds: np.ndarray
+    bits_lo: np.ndarray
+    bits_hi: np.ndarray
+    has_bits: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @classmethod
+    def from_zone_maps(
+        cls,
+        nodes: Sequence[str],
+        zones: Sequence[dict | None],
+        n_records: Sequence[int | None] | None = None,
+    ) -> "ZoneTable":
+        """One part per node from zone-map dicts.
+
+        A None zone (or one counting kind codes outside 0-3) leaves the
+        node unknown; its ``n_records`` then comes from ``n_records``.
+        """
+        counts = n_records if n_records is not None else [0] * len(nodes)
+        rows = np.array(
+            [_zone_row(zone, count) for zone, count in zip(zones, counts)],
+            dtype=np.float64,
+        ).reshape(len(nodes), 14)
+        ints = rows[:, :10].astype(np.int64)
+        return cls(
+            nodes=tuple(nodes),
+            n_records=ints[:, 0],
+            n_parts=np.ones(len(nodes), dtype=np.int64),
+            known=ints[:, 1] == 1,
+            n_temp=ints[:, 2],
+            kinds=ints[:, 3:7],
+            bits_lo=ints[:, 7],
+            bits_hi=ints[:, 8],
+            has_bits=ints[:, 9] == 1,
+            t_lo=rows[:, 10],
+            t_hi=rows[:, 11],
+            temp_lo=rows[:, 12],
+            temp_hi=rows[:, 13],
+        )
+
+    @classmethod
+    def merge(cls, parts: Sequence["ZoneTable"]) -> "ZoneTable":
+        """Per-node union of part tables.
+
+        Counts add and ranges take min/max, exactly as merging the
+        parts' zone-map dicts does; a node is known only when every one
+        of its parts is.  The merged zone is exact for the merged rows,
+        so a multi-part node prunes like the single compacted run that
+        later replaces it.
+        """
+        if not parts:
+            return cls.from_zone_maps([], [])
+        if len(parts) == 1:
+            return parts[0]
+        names = sorted(set().union(*(part.nodes for part in parts)))
+        row_of = {name: i for i, name in enumerate(names)}
+        rows = np.array(
+            [row_of[name] for part in parts for name in part.nodes], dtype=np.intp
+        )
+        order = np.argsort(rows, kind="stable")
+        starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+        return cls(
+            nodes=tuple(names),
+            **{
+                name: reduce.reduceat(
+                    np.concatenate([getattr(p, name) for p in parts])[order],
+                    starts,
+                    axis=0,
+                )
+                for name, reduce in _MERGE.items()
+            },
+        )
 
 
-def _bits_bounds(zone: dict) -> tuple[int, int] | None:
-    """Full-column n_bits range: ERROR rows from the zone's ``bits``
-    entry, every non-ERROR row contributing 0 (expected == actual == 0)."""
-    n_records = zone.get("n_records") or 0
-    if n_records == 0:
-        return None
-    n_errors = int(zone.get("kinds", {}).get(str(KIND_ERROR), 0))
+def _zone_row(zone: dict | None, count: int | None) -> tuple:
+    """One zone map as a :meth:`ZoneTable.from_zone_maps` row: the
+    integer fields, then the ``t`` and ``temp`` ranges."""
+    nan = np.nan
+    kinds = (zone or {}).get("kinds") or {}
+    if zone is None or not set(kinds) <= set("0123"):
+        return (count or 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, nan, nan, nan, nan)
     bits = zone.get("bits")
-    if bits is None:
-        return (0, 0)
-    lo, hi = int(bits[0]), int(bits[1])
-    if n_records > n_errors:  # non-error rows exist -> 0 is present
-        lo = min(lo, 0)
-    return (lo, hi)
+    return (
+        zone.get("n_records") or 0, 1, zone.get("n_temp") or 0,
+        *(kinds.get(code, 0) for code in "0123"),
+        *(bits or (64, 0)), bits is not None,
+        *(zone.get("t") or (nan, nan)),
+        *(zone.get("temp") or (nan, nan)),
+    )
 
 
-def _predicate_may_match(zone: dict, node: str, pred: Predicate,
-                         derives: dict[str, Derive]) -> bool:
-    n_records = zone.get("n_records") or 0
-    if n_records == 0:
-        return False
-    column = pred.column
+def prune_mask(
+    table: ZoneTable,
+    predicates: Sequence[Predicate],
+    derives: dict[str, Derive],
+) -> np.ndarray:
+    """Which nodes may hold a row satisfying every predicate.
+
+    False only where the node's zone proves the conjunction
+    unsatisfiable: an empty node matches nothing, a node without zone
+    information always may.
+    """
+    may = table.known & (table.n_records > 0)
+    for pred in predicates:
+        if not may.any():
+            break
+        may &= _predicate_mask(table, pred, derives)
+    return may | ~table.known
+
+
+def _predicate_mask(
+    table: ZoneTable, pred: Predicate, derives: dict[str, Derive]
+) -> np.ndarray:
+    column, op = pred.column, pred.op
     spec = derives.get(column)
     if spec is not None:
         # Resolve the derived column to something zone-mappable.
-        if spec.fn == "temp_c":
-            column = "temp_c"
-        elif spec.fn == "has_temp":
-            column = "has_temp"
-        elif spec.fn == "n_bits":
-            column = "n_bits"
-        elif spec.fn == "bit_bucket":
-            bounds = _bits_bounds(zone)
-            if bounds is None:
-                return False
-            max_bucket = int(dict(spec.args).get("max_bucket", 6))
-            return _interval_may_match(
-                min(bounds[0], max_bucket), min(bounds[1], max_bucket), pred
-            )
-        else:
-            return True  # hour/day/temp_bin: no zone information
+        if spec.fn == "bit_bucket":
+            lo, hi = _bits_bounds(table)
+            cap = int(dict(spec.args).get("max_bucket", 6))
+            return _interval_mask(np.minimum(lo, cap), np.minimum(hi, cap), pred)
+        if spec.fn not in ("temp_c", "has_temp", "n_bits"):
+            return _constant(table, True)  # hour/day/temp_bin: no zone information
+        column = spec.fn
 
+    if column in ("node", "t", "kind", "n_bits") and op in ("isnull", "notnull"):
+        return _constant(table, op == "notnull")
     if column == "node":
-        if pred.op in ("isnull", "notnull"):
-            return pred.op == "notnull"
-        return _interval_may_match(node, node, pred)
-
+        names = np.array(table.nodes, dtype=object)
+        return _interval_mask(names, names, pred)
     if column == "t":
-        if pred.op in ("isnull", "notnull"):
-            return pred.op == "notnull"
-        zone_t = zone.get("t")
-        if zone_t is None:
-            return False
-        return _interval_may_match(float(zone_t[0]), float(zone_t[1]), pred)
-
+        return _interval_mask(table.t_lo, table.t_hi, pred)
+    if column == "n_bits":
+        return _interval_mask(*_bits_bounds(table), pred)
     if column == "kind":
-        kinds = zone.get("kinds") or {}
-        present = sorted(int(k) for k, c in kinds.items() if c)
-        if pred.op in ("isnull", "notnull"):
-            return pred.op == "notnull"
-        if not present:
-            return False
-        if pred.op == "eq":
+        present = table.kinds > 0
+        if op == "eq":
             try:
-                return int(pred.value) in present
-            except (TypeError, ValueError):
-                return True
-        return _interval_may_match(present[0], present[-1], pred)
+                code = int(pred.value)
+            except (TypeError, ValueError, OverflowError):
+                return present.any(axis=1)
+            if 0 <= code < present.shape[1]:
+                return present[:, code]
+            return _constant(table, False)
+        lo = np.argmax(present, axis=1)
+        hi = present.shape[1] - 1 - np.argmax(present[:, ::-1], axis=1)
+        return present.any(axis=1) & _interval_mask(lo, hi, pred)
 
+    n_temp, n_records = table.n_temp, table.n_records
     if column in ("temp", "temp_c"):
-        n_temp = int(zone.get("n_temp") or 0)
-        if pred.op == "isnull":
+        if op == "isnull":
             return n_temp < n_records
-        if pred.op == "notnull":
+        if op == "notnull":
             return n_temp > 0
-        if pred.op == "ne" and n_temp < n_records:
-            return True  # NaN != value is true: unlogged rows match
-        if n_temp == 0:
-            return False  # all other comparisons are False on NaN rows
-        zone_temp = zone.get("temp")
-        if zone_temp is None:
-            return True  # inconsistent zone: stay conservative
-        lo, hi = float(zone_temp[0]), float(zone_temp[1])
+        lo, hi = table.temp_lo, table.temp_hi
         if column == "temp_c":
             lo, hi = _widen_f32(lo, hi)
-        return _interval_may_match(lo, hi, pred)
-
-    if column == "has_temp":
-        n_temp = int(zone.get("n_temp") or 0)
-        truthy = {True: n_temp > 0, False: n_temp < n_records}
-        if pred.op == "eq":
-            return truthy.get(bool(pred.value), True)
-        if pred.op == "ne":
-            return truthy.get(not bool(pred.value), True)
-        return True
-
-    if column == "n_bits":
-        if pred.op in ("isnull", "notnull"):
-            return pred.op == "notnull"
-        bounds = _bits_bounds(zone)
-        if bounds is None:
-            return False
-        return _interval_may_match(bounds[0], bounds[1], pred)
-
-    return True  # mb/va/pp/expected/actual/rep: no zone information
+        # A logged node without a range is an inconsistent zone: maybe.
+        may = np.isnan(table.temp_lo) | _interval_mask(lo, hi, pred)
+        may &= n_temp > 0  # other comparisons are False on NaN rows
+        if op == "ne":
+            may |= n_temp < n_records  # NaN != value: unlogged rows match
+        return may
+    if column == "has_temp" and op in ("eq", "ne"):
+        if bool(pred.value) == (op == "eq"):
+            return n_temp > 0
+        return n_temp < n_records
+    return _constant(table, True)  # mb/va/pp/expected/actual/rep: no zone information
 
 
-def merge_zone_maps(zones) -> dict | None:
-    """Union of several zone maps, exact for the merged row set.
+def _constant(table: ZoneTable, value: bool) -> np.ndarray:
+    return np.full(len(table), value, dtype=bool)
 
-    Every zone-map field is decomposable: counts add, ranges union.  A
-    multi-part node (live L0 segments plus compacted shards) can
-    therefore be pruned against the merge of its part zones with the
-    same conservatism guarantee as a single shard — no predicate path
-    in :func:`_predicate_may_match` can prune a merged zone whose parts
-    contain a matching row.  Returns ``None`` (never prune) if any part
-    lacks zone information.
+
+def _bits_bounds(table: ZoneTable) -> tuple[np.ndarray, np.ndarray]:
+    """Full-column n_bits range: ERROR rows from the ``bits`` columns,
+    every non-ERROR row contributing 0 (expected == actual == 0)."""
+    lo = np.where(table.has_bits, table.bits_lo, 0)
+    hi = np.where(table.has_bits, table.bits_hi, 0)
+    non_error = table.n_records > table.kinds[:, KIND_ERROR]
+    return np.where(non_error, np.minimum(lo, 0), lo), hi
+
+
+def _widen_f32(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds that survive a float64 -> float32 -> float64 round trip.
+
+    ``temp_c`` re-rounds shard temperatures through float32 (the
+    ErrorFrame dtype); rounding can push a value just past the node's
+    float64 min/max, so pruning against ``temp_c`` widens the zone by
+    one float32 ULP on each side.
     """
-    zones = list(zones)
-    if not zones or any(z is None for z in zones):
-        return None
-    merged: dict = {
-        "n_records": 0,
-        "t": None,
-        "temp": None,
-        "n_temp": 0,
-        "kinds": {},
-        "bits": None,
-    }
-
-    def _union(current, extra):
-        if extra is None:
-            return current
-        lo, hi = float(extra[0]), float(extra[1])
-        if current is None:
-            return [lo, hi]
-        return [min(current[0], lo), max(current[1], hi)]
-
-    for zone in zones:
-        merged["n_records"] += int(zone.get("n_records") or 0)
-        merged["n_temp"] += int(zone.get("n_temp") or 0)
-        merged["t"] = _union(merged["t"], zone.get("t"))
-        merged["temp"] = _union(merged["temp"], zone.get("temp"))
-        bits = zone.get("bits")
-        if bits is not None:
-            lo, hi = int(bits[0]), int(bits[1])
-            if merged["bits"] is None:
-                merged["bits"] = [lo, hi]
-            else:
-                merged["bits"] = [
-                    min(merged["bits"][0], lo),
-                    max(merged["bits"][1], hi),
-                ]
-        for code, count in (zone.get("kinds") or {}).items():
-            merged["kinds"][code] = merged["kinds"].get(code, 0) + int(count)
-    return merged
+    with np.errstate(over="ignore"):
+        lo32 = np.nextafter(lo.astype(np.float32), np.float32(-np.inf))
+        hi32 = np.nextafter(hi.astype(np.float32), np.float32(np.inf))
+    return lo32.astype(np.float64), hi32.astype(np.float64)
 
 
-def shard_may_match(zone: dict | None, node: str,
-                    predicates: tuple[Predicate, ...],
-                    derives: dict[str, Derive]) -> bool:
-    """Conservative satisfiability of the filter conjunction on a shard."""
-    if zone is None:
-        return True  # v1 archive: no zone maps, never prune
-    if (zone.get("n_records") or 0) == 0:
-        return False  # empty shard matches nothing
-    return all(
-        _predicate_may_match(zone, node, pred, derives) for pred in predicates
+def _interval_mask(lo: np.ndarray, hi: np.ndarray, pred: Predicate) -> np.ndarray:
+    """Can any value in [lo, hi] satisfy the predicate?  (Per row.)"""
+    op, v = pred.op, pred.value
+    try:
+        if op == "eq":
+            return _compare(lo, "le", v) & _compare(hi, "ge", v)
+        if op == "ne":
+            return ~((lo == hi) & _compare(hi, "eq", v))
+        if op in ("lt", "le"):
+            return _compare(lo, op, v)
+        if op in ("gt", "ge"):
+            return _compare(hi, op, v)
+        if op == "in":
+            may = np.zeros(lo.shape[0], dtype=bool)
+            for item in v:
+                may |= _compare(lo, "le", item) & _compare(hi, "ge", item)
+            return may
+    except TypeError:
+        pass  # incomparable types: let the executor decide
+    return np.ones(lo.shape[0], dtype=bool)
+
+
+def _compare(values: np.ndarray, op: str, v) -> np.ndarray:
+    """``values <op> v`` per element, with Python's scalar semantics.
+
+    NumPy compares a numeric column with a float, or with an int a
+    float64 holds exactly, the way Python does.  Any other value (a
+    string, None, a huge int, a name column) is compared in Python,
+    once per distinct value, and raises TypeError where Python would.
+    """
+    compare = _COMPARE[op]
+    if values.dtype.kind in "fiu" and (
+        type(v) is float or (type(v) in (int, bool) and -(2**53) <= v <= 2**53)
+    ):
+        return compare(values, v)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    # repro: noqa[NPY002]: Python comparison semantics, once per distinct value
+    scalars = distinct.tolist()
+    answers = np.fromiter(
+        (bool(compare(x, v)) for x in scalars), dtype=bool, count=len(scalars)
     )
+    return answers[inverse]

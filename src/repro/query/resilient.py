@@ -336,10 +336,14 @@ class ResilientSource:
             return self._pool
 
     def close(self) -> None:
+        """Shut the read pool and release what the inner source holds."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
+        close = getattr(self._inner, "close", None)
+        if close is not None:
+            close()
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +383,10 @@ class StaleResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
     def put(self, digest: str, result, fingerprint: str | None = None) -> None:
         with self._lock:

@@ -330,7 +330,7 @@ class ScatterGatherEngine:
                 )
                 return ScatterResult(columns=cached.columns, stats=stats)
 
-        nodes = [s.node for s in self.source.shards()]
+        nodes = list(self.source.shards().nodes)
         if plan.nodes is not None:
             wanted = set(plan.nodes)
             nodes = [n for n in nodes if n in wanted]

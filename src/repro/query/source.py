@@ -11,6 +11,8 @@ Two implementations share one interface:
   fresh campaign output), with zone maps computed on first use.  Same
   pruning semantics, no disk.
 
+``shards()`` returns the snapshot's :class:`~repro.query.prune.ZoneTable`.
+
 Both expose a stable ``fingerprint()`` identifying the archive content;
 together with the plan digest it keys the engine's result cache.
 
@@ -21,8 +23,10 @@ compaction commit.  :class:`ArchiveSource` therefore assembles
 multi-part nodes in canonical order at scan time and (with
 ``watch=True``, the default) re-reads the manifest whenever its
 ``fingerprint()`` is asked for and the file changed — which is exactly
-once per query, at cache-key time, so one plan always scans a single
-consistent snapshot.
+once per query, at cache-key time, so a plan running alone scans a
+single consistent snapshot.  (Queries sharing one source on several
+threads can overlap another query's reload and read later nodes
+through the newer manifest.)
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ from ..logs.columnar import (
     _load_shard,
     compute_zone_map,
     entry_nodes,
+    group_zone_columns,
     manifest_fingerprint,
     merge_node_parts,
     read_manifest,
 )
-from .prune import merge_zone_maps
+from .prune import ZoneTable
 
 #: Budget (in decoded column bytes) for multi-node segments kept hot
 #: per source.  One segment serves many per-node scans; without the
@@ -70,14 +75,16 @@ class _NodeSlices:
     ``RecordColumns`` costs far more in object overhead than in data).
     """
 
-    __slots__ = ("_cols", "_bounds", "nbytes")
+    __slots__ = ("_cols", "_counts", "_bounds", "nbytes")
 
     def __init__(self, cols: RecordColumns):
         order = np.argsort(cols.node_code, kind="stable")
         grouped = cols.take(order)
-        codes = np.arange(len(grouped.node_names))
-        starts = np.searchsorted(grouped.node_code, codes, side="left")
-        stops = np.searchsorted(grouped.node_code, codes, side="right")
+        self._counts = np.bincount(
+            grouped.node_code, minlength=len(grouped.node_names)
+        )
+        stops = np.cumsum(self._counts)
+        starts = stops - self._counts
         self._cols = grouped
         self._bounds = {
             name: (int(starts[code]), int(stops[code]))
@@ -102,6 +109,25 @@ class _NodeSlices:
             node_names=[node],
         )
 
+    def zone_table(self, nodes: list[str]) -> ZoneTable:
+        """Exact per-node zones of ``nodes``, derived from the rows.
+
+        One ``reduceat`` pass per zone field over the node-sorted
+        columns; a listed node without rows gets an empty zone.
+        """
+        columns = group_zone_columns(self._cols, np.append(self._counts, 0))
+        code_of = {name: code for code, name in enumerate(self._cols.node_names)}
+        empty = len(self._counts)
+        rows = np.fromiter(
+            (code_of.get(name, empty) for name in nodes), np.intp, len(nodes)
+        )
+        return ZoneTable(
+            nodes=tuple(nodes),
+            n_parts=np.ones(len(nodes), dtype=np.int64),
+            known=np.ones(len(nodes), dtype=bool),
+            **{name: arr[rows] for name, arr in columns.items()},
+        )
+
 
 @dataclass
 class IoStats:
@@ -117,23 +143,6 @@ class IoStats:
             "columns_read": self.columns_read,
             "bytes_read": self.bytes_read,
         }
-
-
-@dataclass(frozen=True)
-class ShardInfo:
-    """One scannable unit: a node, its row count, and zone information.
-
-    Under v3 one "shard" may be assembled from several on-disk parts;
-    ``n_parts`` says how many, and ``zone_map`` is then the (exact or
-    conservative) merge of the parts' zones.  ``n_records`` is None when
-    no exact per-node count is derivable (the node lives only inside
-    large aggregate-zoned segments).
-    """
-
-    node: str
-    n_records: int | None
-    zone_map: dict | None
-    n_parts: int = 1
 
 
 class ArchiveSource:
@@ -164,8 +173,12 @@ class ArchiveSource:
         self._verify = verify_checksums
         self._watch = watch
         self._lock = threading.Lock()
-        self._segments: OrderedDict[str, _NodeSlices] = OrderedDict()
+        # Decoded segments and per-entry zone tables, keyed by
+        # (file, sha256): both outlive manifest reloads, and a reload
+        # evicts only the entries its manifest no longer lists.
+        self._segments: OrderedDict[tuple, _NodeSlices] = OrderedDict()
         self._segment_bytes = 0
+        self._parts: dict[tuple, ZoneTable] = {}
         self._load_manifest()
 
     # -- manifest snapshot -------------------------------------------------
@@ -186,59 +199,58 @@ class ArchiveSource:
                 covering.setdefault(name, []).append(entry)
         for parts in covering.values():
             parts.sort(key=lambda e: int(e.get("seq") or 0))
-        shards = []
-        for node in sorted(covering):
-            entries = covering[node]
-            zones = [self._node_zone(entry, node) for entry in entries]
-            zone = zones[0] if len(zones) == 1 else merge_zone_maps(zones)
-            n_records = self._node_count(entries, node)
-            shards.append(
-                ShardInfo(
-                    node=node,
-                    n_records=n_records,
-                    zone_map=zone,
-                    n_parts=len(entries),
-                )
-            )
+        live = {_entry_key(entry) for entry in manifest["shards"]}
         with self._lock:
             self.manifest = manifest
             self._stat = self._manifest_stat()
             self._fingerprint = manifest_fingerprint(manifest)
             self._covering = covering
-            self._shards = shards
-            self._segments.clear()
-            self._segment_bytes = 0
+            self._table: ZoneTable | None = None
+            for key in [key for key in self._segments if key not in live]:
+                self._segment_bytes -= self._segments.pop(key).nbytes
+            for key in [key for key in self._parts if key not in live]:
+                del self._parts[key]
 
-    @staticmethod
-    def _node_zone(entry: dict, node: str) -> dict | None:
-        """This entry's zone as seen by one node.
+    def _zone_table(self) -> ZoneTable:
+        """The snapshot's zone table: cached part tables, merged per node."""
+        table = self._table
+        if table is None:
+            manifest = self.manifest
+            table = ZoneTable.merge(
+                [self._part_table(entry) for entry in manifest["shards"]]
+            )
+            with self._lock:
+                if self.manifest is manifest:
+                    self._table = table
+        return table
 
-        Per-node shards and small segments carry exact per-node zones;
-        large segments answer with their aggregate zone, whose ranges
-        and counts are supersets of any member node's — conservative
-        for every pruning path (see :mod:`repro.query.prune`).
+    def _part_table(self, entry: dict) -> ZoneTable:
+        """One manifest entry's zones, one row per node it covers.
+
+        Per-node shards and segments up to ``NODE_ZONE_LIMIT`` nodes
+        carry their zones in the manifest; a larger segment is decoded
+        (once: it stays in the segment cache for the scans that follow)
+        and its exact per-node zones are derived from the rows.
         """
-        if entry.get("node") is not None:
-            return entry.get("zone_map")
+        key = _entry_key(entry)
+        table = self._parts.get(key)
+        if table is not None:
+            return table
+        nodes = sorted(entry_nodes(entry))
         node_zones = entry.get("node_zones")
-        if node_zones is not None and node in node_zones:
-            return node_zones[node]
-        return entry.get("zone_map")
-
-    @staticmethod
-    def _node_count(entries: list[dict], node: str) -> int | None:
-        """Exact row count for the node, or None if any part can't say."""
-        total = 0
-        for entry in entries:
-            if entry.get("node") is not None:
-                n = entry.get("n_records")
-            else:
-                zone = (entry.get("node_zones") or {}).get(node)
-                n = None if zone is None else zone.get("n_records")
-            if n is None:
-                return None
-            total += int(n)
-        return total
+        if entry.get("node") is not None:
+            table = ZoneTable.from_zone_maps(
+                nodes, [entry.get("zone_map")], [entry.get("n_records")]
+            )
+        elif node_zones is not None:
+            table = ZoneTable.from_zone_maps(
+                nodes, [node_zones.get(name) for name in nodes]
+            )
+        else:
+            table = self._segment_columns(entry).zone_table(nodes)
+        with self._lock:
+            self._parts[key] = table
+        return table
 
     # -- source protocol ---------------------------------------------------
 
@@ -247,8 +259,25 @@ class ArchiveSource:
             self._load_manifest()
         return self._fingerprint
 
-    def shards(self) -> list[ShardInfo]:
-        return list(self._shards)
+    def shards(self) -> ZoneTable:
+        """Zone table of the current snapshot (see :mod:`repro.query.prune`)."""
+        try:
+            return self._zone_table()
+        except (FileNotFoundError, ShardCorruptError):
+            # Deriving zones decodes segments, which a compaction commit
+            # may have unlinked since our snapshot: re-read once.
+            if not self._watch:
+                raise
+            self._load_manifest()
+            return self._zone_table()
+
+    def close(self) -> None:
+        """Drop decoded segments and zone tables (rebuilt on next use)."""
+        with self._lock:
+            self._segments.clear()
+            self._segment_bytes = 0
+            self._parts.clear()
+            self._table = None
 
     def load_columns(self, node: str, names: set[str]) -> dict[str, np.ndarray]:
         """Read the named base columns for one node (counted I/O).
@@ -297,18 +326,19 @@ class ArchiveSource:
 
     def _segment_columns(self, entry: dict) -> _NodeSlices:
         """Decode a multi-node segment, indexed per node, LRU-cached."""
-        filename = entry["file"]
+        key = _entry_key(entry)
         with self._lock:
-            cached = self._segments.get(filename)
+            cached = self._segments.get(key)
             if cached is not None:
-                self._segments.move_to_end(filename)
+                self._segments.move_to_end(key)
                 return cached
         cols = _load_shard(self.directory, entry, verify_checksum=self._verify)
         self._count_full_read(cols)
         slices = _NodeSlices(cols)
         with self._lock:
-            self._segments[filename] = slices
-            self._segment_bytes += slices.nbytes
+            if key not in self._segments:
+                self._segments[key] = slices
+                self._segment_bytes += slices.nbytes
             while (
                 self._segment_bytes > SEGMENT_CACHE_BYTES
                 and len(self._segments) > 1
@@ -372,7 +402,7 @@ class MemorySource:
     def __init__(self, archive: ColumnarArchive):
         self.archive = archive
         self.io = IoStats()
-        self._zone_maps: dict[str, dict] = {}
+        self._table: ZoneTable | None = None
         self._fingerprint: str | None = None
 
     def fingerprint(self) -> str:
@@ -387,16 +417,14 @@ class MemorySource:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def shards(self) -> list[ShardInfo]:
-        out = []
-        for node in self.archive.nodes:
-            if node not in self._zone_maps:
-                self._zone_maps[node] = compute_zone_map(self.archive.columns(node))
-            zone = self._zone_maps[node]
-            out.append(
-                ShardInfo(node=node, n_records=zone["n_records"], zone_map=zone)
+    def shards(self) -> ZoneTable:
+        if self._table is None:
+            nodes = self.archive.nodes
+            self._table = ZoneTable.from_zone_maps(
+                nodes,
+                [compute_zone_map(self.archive.columns(node)) for node in nodes],
             )
-        return out
+        return self._table
 
     def load_columns(self, node: str, names: set[str]) -> dict[str, np.ndarray]:
         cols: RecordColumns = self.archive.columns(node)
@@ -411,6 +439,10 @@ class MemorySource:
         if "node" in names:
             out["node"] = np.full(len(cols), node)
         return out
+
+
+def _entry_key(entry: dict) -> tuple:
+    return (entry["file"], entry.get("sha256"))
 
 
 def as_source(target):

@@ -275,6 +275,13 @@ class TelemetryServer:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._conn_tasks.clear()
+        # Release what the server holds: a stopped server can stay
+        # reachable (asyncio transport cycles) until a full collection,
+        # and its cached results and decoded segments with it.
+        if self.resilient_source is not None:
+            self.resilient_source.close()
+        self.engine.cache.clear()
+        self.executor.stale.clear()
 
     # -- connection handling -----------------------------------------------
 
@@ -569,8 +576,8 @@ class TelemetryServer:
         out = {
             "status": "ok",
             "nodes": len(shards),
-            "records": sum(s.n_records or 0 for s in shards),
-            "zone_maps": sum(1 for s in shards if s.zone_map is not None),
+            "records": int(shards.n_records.sum()),
+            "zone_maps": int(shards.known.sum()),
             "fingerprint": fingerprint,
         }
         if self.breaker is not None and self.breaker.state != "closed":
@@ -694,8 +701,7 @@ class TelemetryServer:
         return payload
 
     async def _node_errors(self, node: str, query_string: str) -> dict:
-        known = {s.node for s in self.engine.source.shards()}
-        if node not in known:
+        if node not in self.engine.source.shards().nodes:
             raise _HttpError(404, f"unknown node {node!r}")
         limit = _query_param_int(query_string, "limit")
         from ..logs.columnar import KIND_ERROR

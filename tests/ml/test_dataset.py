@@ -83,7 +83,7 @@ def test_reference_times_geometry():
 
 
 def test_dataset_shape(dataset, engine):
-    n_universe = len({s.node for s in engine.source.shards()})
+    n_universe = len(engine.source.shards().nodes)
     spec = DatasetSpec(
         features=FeatureSpec(),
         start_hours=0.0,

@@ -208,3 +208,34 @@ class TestConcurrencyAndTimeouts:
         handle = run_in_thread(server)
         handle.stop()
         handle.stop()
+
+
+class TestStopReleases:
+    def test_stopped_server_holds_no_results_segments_or_read_threads(
+        self, tmp_path
+    ):
+        from repro.logs.ingest import LiveArchive
+
+        from ..logs.test_ingest import node_batch
+
+        live = LiveArchive.create(tmp_path / "arch")
+        live.append_batch(
+            {"a": node_batch("01-01"), "b": node_batch("01-02", t0=30.0)}
+        )
+        server = TelemetryServer(live.directory, read_timeout_s=5.0)
+        handle = run_in_thread(server)
+        try:
+            status, _ = http_post(handle.address + "/query", QUERY_PLAN)
+            assert status == 200
+            archive = server.resilient_source._inner
+            readers = list(server.resilient_source._pool._threads)
+            assert readers and archive._segments
+            assert len(server.engine.cache) == len(server.executor.stale) == 1
+        finally:
+            handle.stop()
+        assert len(server.engine.cache) == 0
+        assert len(server.executor.stale) == 0
+        assert not archive._segments and not archive._parts
+        for thread in readers:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in readers)
