@@ -5,12 +5,12 @@ the stdlib load generator and records the SLO fields the ``server-chaos``
 CI job gates on in the benchmark JSON (``extra_info``):
 
 * ``p99_ms`` of *admitted* requests must stay under ``SLO_P99_MS``;
-* ``unflagged_degraded`` must be zero — a stale or partial answer that
-  is not flagged ``degraded`` is a lie, and lying is the one failure
-  mode the resilience tier may never have.
+* ``unflagged_degraded`` must be zero — a stale answer that is not
+  flagged ``degraded`` is a lie, and lying is the one failure mode the
+  resilience tier may never have.
 
-Three weather fronts are measured: a healthy tier, a tier surviving a
-total storage outage on its stale cache, and a scatter-gather tier.
+Two weather fronts are measured: a healthy tier, and a tier surviving a
+total storage outage on its stale cache.
 """
 
 from __future__ import annotations
@@ -116,11 +116,3 @@ def test_perf_server_storage_outage(benchmark, archive_dir):
     _record(benchmark, report)
     assert report.count(200) == report.requests
     assert report.degraded == report.requests  # every answer truthful
-
-
-def test_perf_server_scatter(benchmark, archive_dir):
-    report = _serve_and_load(
-        archive_dir, benchmark, shard_workers=4, requests=15
-    )
-    assert report.count(200) == report.requests
-    assert report.partial == 0

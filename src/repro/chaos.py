@@ -48,11 +48,11 @@ underneath a live query misbehaves while clients keep arriving.
     half-written segment observed mid-compaction, or real corruption.
 ``wedge``
     The read blocks for ``wedge_seconds`` — a wedged storage worker.
-    Long enough to trip hedges/timeouts, bounded so tests always drain.
+    Long enough to trip read timeouts, bounded so tests always drain.
 
 Attempts are counted *per key* by the :class:`ChaosSource`, so a rule
-with ``attempts=(1,)`` models a transient fault (the retry or the hedge
-read succeeds) and ``attempts=None`` a persistent one.
+with ``attempts=(1,)`` models a transient fault (the retried read
+succeeds) and ``attempts=None`` a persistent one.
 
 Plans are frozen dataclasses: picklable, hashable, and safe to ship to
 worker processes through the pool initializer or per-task arguments.

@@ -313,20 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="staleness bound for degraded (last-good) responses",
     )
     srv.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="scatter-gather worker lanes (0 = single-engine serving)",
-    )
-    srv.add_argument(
-        "--hedge-delay",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="delay before hedging a slow scatter partition",
-    )
-    srv.add_argument(
         "--model-registry",
         default=None,
         metavar="DIR",
@@ -1036,8 +1022,6 @@ def _cmd_serve(args) -> int:
             rate_limit_burst=args.rate_limit_burst,
             read_timeout_s=args.read_timeout,
             max_stale_s=args.max_stale,
-            shard_workers=args.shard_workers,
-            hedge_delay_s=args.hedge_delay,
         )
     except (LogFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

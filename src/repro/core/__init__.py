@@ -19,7 +19,6 @@ Submodules
 """
 
 from .errors import (
-    AllocationError,
     ChaosError,
     CheckpointError,
     ConfigurationError,
@@ -46,7 +45,6 @@ from .timeutils import STUDY_DAYS, STUDY_EPOCH, STUDY_HOURS, StudyPeriod
 
 __all__ = [
     "AllocFailRecord",
-    "AllocationError",
     "ChaosError",
     "CheckpointError",
     "ConfigurationError",

@@ -19,10 +19,6 @@ class TopologyError(ReproError):
     """A cluster coordinate (blade/SoC/node id) does not exist."""
 
 
-class AllocationError(ReproError):
-    """The scanner could not allocate any memory on a node."""
-
-
 class LogFormatError(ReproError):
     """A log line could not be parsed or serialized."""
 

@@ -218,11 +218,12 @@ def build_session_track(
     ``random``, pattern ``random``; nothing for a node without windows).
     ``p_counting`` is one probability or one per node.
 
-    Implements the same stochastic layer as
-    :class:`repro.scanner.daemon.ScannerDaemon` but in bulk: allocation
-    size with the 3 GB / -10 MB backoff against an exponential leak,
-    rare total allocation failures, rare hard-reboot truncations (dropped
-    and counted), and the scan-pattern choice per session.
+    This is the scanner's daemon model, the one the campaign runs:
+    allocation size with the 3 GB / -10 MB backoff against an
+    exponential leak, rare total allocation failures, rare hard-reboot
+    truncations (dropped and counted), and the scan-pattern choice per
+    session.  ``oracle_session_track`` in
+    ``tests/scheduler/test_window_parity.py`` is its one-node reference.
     """
     if len(rngs) != len(nodes):
         raise ValueError("build_session_track needs one stream per node")

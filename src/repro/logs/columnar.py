@@ -33,6 +33,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -1548,6 +1549,16 @@ def upgrade_archive(path: str | Path) -> dict:
     return manifest
 
 
+#: ``np.load`` parses each ``.npy`` member header with
+#: ``ast.literal_eval``, which is not thread-safe on CPython 3.11: the
+#: AST-constructor recursion counter lives in per-interpreter state, so
+#: two threads decoding shards at once (the server's readers) can race
+#: it into ``SystemError: AST constructor recursion depth mismatch``
+#: when a garbage collection runs Python finalizers mid-parse.  Decoding
+#: holds the GIL anyway, so serializing it costs little.
+NPZ_DECODE_LOCK = threading.Lock()
+
+
 def _load_shard(
     directory: Path, entry: dict, *, verify_checksum: bool = True
 ) -> RecordColumns:
@@ -1568,7 +1579,7 @@ def _load_shard(
                 node=shard_node,
             )
     try:
-        with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        with NPZ_DECODE_LOCK, np.load(io.BytesIO(payload), allow_pickle=False) as npz:
             version = int(npz["format_version"])
             # The shard layout is identical across v1 and v2 (zone maps
             # live in the manifest), so an upgraded archive may hold v1

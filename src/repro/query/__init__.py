@@ -26,7 +26,6 @@ from .resilient import (
     ResilientSource,
     StaleResultCache,
 )
-from .scatter import ScatterGatherEngine, ScatterResult
 from .source import ArchiveSource, MemorySource, as_source
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "ReadRetryPolicy",
     "ResilientExecutor",
     "ResilientSource",
-    "ScatterGatherEngine",
-    "ScatterResult",
     "StaleResultCache",
     "ZoneTable",
     "as_source",

@@ -391,35 +391,26 @@ class QueryEngine:
         return out
 
     def _order_and_limit(self, plan: Query, columns: dict) -> dict:
-        return order_and_limit(plan, columns)
-
-
-def order_and_limit(plan: Query, columns: dict) -> dict:
-    """Apply a plan's order/limit stage to assembled output columns.
-
-    Module-level because the scatter-gather merge re-applies the same
-    stage after combining per-partition results — the ordering must be
-    byte-identical to single-engine execution.
-    """
-    if columns and next(iter(columns.values())).shape[0]:
-        order_by = plan.order_by
-        if not order_by and plan.is_aggregate and plan.group_by:
-            order_by = plan.group_by  # deterministic default
-        if order_by:
-            idx = np.arange(next(iter(columns.values())).shape[0])
-            for name in reversed(order_by):
-                descending = name.startswith("-")
-                col = columns[name.lstrip("-")][idx]
-                sub = np.argsort(col, kind="stable")
-                if descending:
-                    sub = sub[::-1]
-                idx = idx[sub]
-            columns = {name: arr[idx] for name, arr in columns.items()}
-    if plan.limit is not None:
-        columns = {
-            name: arr[: plan.limit] for name, arr in columns.items()
-        }
-    return columns
+        """Apply a plan's order/limit stage to assembled output columns."""
+        if columns and next(iter(columns.values())).shape[0]:
+            order_by = plan.order_by
+            if not order_by and plan.is_aggregate and plan.group_by:
+                order_by = plan.group_by  # deterministic default
+            if order_by:
+                idx = np.arange(next(iter(columns.values())).shape[0])
+                for name in reversed(order_by):
+                    descending = name.startswith("-")
+                    col = columns[name.lstrip("-")][idx]
+                    sub = np.argsort(col, kind="stable")
+                    if descending:
+                        sub = sub[::-1]
+                    idx = idx[sub]
+                columns = {name: arr[idx] for name, arr in columns.items()}
+        if plan.limit is not None:
+            columns = {
+                name: arr[: plan.limit] for name, arr in columns.items()
+            }
+        return columns
 
 
 def _evaluate(pred: Predicate, arr: np.ndarray) -> np.ndarray:

@@ -17,10 +17,10 @@ provides the three mechanisms the server composes:
   :class:`~repro.core.errors.SourceUnavailableError` instead of touching
   the sick storage at all.
 * :class:`StaleResultCache` + :class:`ResilientExecutor` — the
-  stale-while-revalidate path: every healthy (non-partial) result is
-  remembered per plan digest; when a live execution fails, the last-good
-  result is served within a bounded staleness window, explicitly marked
-  degraded so a consumer can never mistake it for fresh data.
+  stale-while-revalidate path: every healthy result is remembered per
+  plan digest; when a live execution fails, the last-good result is
+  served within a bounded staleness window, explicitly marked degraded
+  so a consumer can never mistake it for fresh data.
 
 Everything is clock-injectable (``time.monotonic`` by default — these
 are durations, never simulation input) and thread-safe: the server
@@ -357,7 +357,6 @@ class StaleHit:
 
     result: object
     age_s: float
-    fingerprint: str | None
 
 
 class StaleResultCache:
@@ -376,9 +375,7 @@ class StaleResultCache:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._clock = clock
-        self._entries: OrderedDict[str, tuple[object, str | None, float]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[str, tuple[object, float]] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -388,9 +385,9 @@ class StaleResultCache:
         with self._lock:
             self._entries.clear()
 
-    def put(self, digest: str, result, fingerprint: str | None = None) -> None:
+    def put(self, digest: str, result) -> None:
         with self._lock:
-            self._entries[digest] = (result, fingerprint, self._clock())
+            self._entries[digest] = (result, self._clock())
             self._entries.move_to_end(digest)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -400,42 +397,38 @@ class StaleResultCache:
             entry = self._entries.get(digest)
             if entry is None:
                 return None
-            result, fingerprint, stored_at = entry
+            result, stored_at = entry
             age = self._clock() - stored_at
             if age > max_stale_s:
                 del self._entries[digest]
                 return None
-            return StaleHit(result=result, age_s=age, fingerprint=fingerprint)
+            return StaleHit(result=result, age_s=age)
 
 
 @dataclass
 class ExecutionOutcome:
     """One resilient execution: the result plus its honesty labels.
 
-    ``degraded`` is True whenever the result is anything other than a
-    fresh, complete answer — served stale, or assembled from a partial
-    scatter.  A server must surface these flags on the wire verbatim.
+    ``degraded`` is True whenever the result is not a fresh answer: the
+    last-good result served stale after a live execution failed.  A
+    server must surface these flags on the wire verbatim.
     """
 
     result: object
     degraded: bool = False
     stale: bool = False
-    partial: bool = False
     reason: str | None = None
     stale_age_s: float | None = None
-    missing_nodes: tuple[str, ...] = ()
 
 
 @dataclass
 class DegradeStats:
     served_stale: int = 0
-    served_partial: int = 0
     stale_misses: int = 0
 
     def to_dict(self) -> dict:
         return {
             "served_stale": self.served_stale,
-            "served_partial": self.served_partial,
             "stale_misses": self.stale_misses,
         }
 
@@ -444,11 +437,10 @@ class ResilientExecutor:
     """Execute plans with a stale-while-revalidate fallback.
 
     Wraps any engine-like object (``execute(plan) -> QueryResult``).  A
-    healthy complete result refreshes the stale cache; a failed live
-    execution within ``max_stale_s`` of a last-good result serves that
-    result marked degraded; a failure with nothing to fall back on
-    re-raises, letting the server map the error to a status code.
-    Partial scatter results pass through flagged and are never cached.
+    healthy result refreshes the stale cache; a failed live execution
+    within ``max_stale_s`` of a last-good result serves that result
+    marked degraded; a failure with nothing to fall back on re-raises,
+    letting the server map the error to a status code.
     """
 
     def __init__(
@@ -476,17 +468,6 @@ class ResilientExecutor:
             # ShardCorruptError rides in here: a torn segment read is a
             # storage fault, not a plan error.
             return self._fall_back(digest, exc)
-        missing = tuple(getattr(result, "missing_nodes", ()))
-        if getattr(result, "partial", False):
-            with self._lock:
-                self.stats.served_partial += 1
-            return ExecutionOutcome(
-                result=result,
-                degraded=True,
-                partial=True,
-                reason=f"partial result: {len(missing)} nodes unavailable",
-                missing_nodes=missing,
-            )
         self.stale.put(digest, result)
         return ExecutionOutcome(result=result)
 

@@ -43,6 +43,7 @@ import numpy as np
 from ..core.errors import ShardCorruptError
 from ..logs.columnar import (
     MANIFEST_NAME,
+    NPZ_DECODE_LOCK,
     SHARD_COLUMNS,
     ColumnarArchive,
     RecordColumns,
@@ -377,7 +378,7 @@ class ArchiveSource:
             npz_source = _io.BytesIO(payload)
         else:
             npz_source = path
-        with np.load(npz_source, allow_pickle=False) as npz:
+        with NPZ_DECODE_LOCK, np.load(npz_source, allow_pickle=False) as npz:
             n = None
             for name in wanted:
                 arr = np.asarray(npz[name], dtype=SHARD_COLUMNS[name])

@@ -1,22 +1,18 @@
-"""The memory-scanning tool: patterns, allocation, scan loop, lifecycle."""
+"""The memory-scanning tool: patterns and the bit-accurate scan loop.
 
-from .allocator import AllocationResult, LeakModel, allocate_with_backoff
-from .daemon import DaemonConfig, ScannerDaemon, SessionOutcome
+The daemon layer (allocation backoff, sessions, hard-reboot
+truncation) is :func:`repro.faultinjection.sessions.build_session_track`.
+"""
+
 from .patterns import AlternatingPattern, CountingPattern, ScanPattern, pattern_by_name
 from .tool import MemoryScanner, ScanResult, schedule_hook
 
 __all__ = [
-    "AllocationResult",
     "AlternatingPattern",
     "CountingPattern",
-    "DaemonConfig",
-    "LeakModel",
     "MemoryScanner",
     "ScanPattern",
     "ScanResult",
-    "ScannerDaemon",
-    "SessionOutcome",
-    "allocate_with_backoff",
     "pattern_by_name",
     "schedule_hook",
 ]

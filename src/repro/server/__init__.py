@@ -5,11 +5,10 @@ engine to a socket and answers ``/query`` (POST a plan),
 ``/nodes/<id>/errors``, ``/health`` and ``/metrics``.  The serving tier
 is resilience-first: keep-alive with idle/request caps, per-client rate
 limiting and queue-depth load shedding (:mod:`repro.server.admission`),
-breaker-gated reads with stale-while-revalidate degradation
-(:mod:`repro.query.resilient`), and optional scatter-gather fan-out
-(:mod:`repro.query.scatter`).  See ``docs/QUERY.md`` for the wire API
-and ``docs/ROBUSTNESS.md`` ("Serving under failure") for the failure
-model.
+and breaker-gated reads with stale-while-revalidate degradation
+(:mod:`repro.query.resilient`) under one query engine.  See
+``docs/QUERY.md`` for the wire API and ``docs/ROBUSTNESS.md``
+("Serving under failure") for the failure model.
 """
 
 from .admission import ClientRateLimiter, TokenBucket, retry_after_header

@@ -20,8 +20,7 @@ Design constraints, in order:
   :class:`~repro.query.resilient.ResilientExecutor`: storage faults are
   retried, breaker-gated, and — within a bounded staleness window —
   answered from the last-good result with ``"degraded": true`` on the
-  wire.  A partial scatter-gather result is likewise flagged, never
-  silently passed off as complete.
+  wire, never silently passed off as fresh.
 * **Timeouts everywhere.**  Header/body reads and query execution are
   wrapped in ``asyncio.wait_for``; a wedged client or a pathological
   plan gets 408/504, not a leaked task.  ``stop()`` cancels whatever
@@ -51,7 +50,6 @@ from ..query.resilient import (
     ResilientSource,
     StaleResultCache,
 )
-from ..query.scatter import ScatterGatherEngine
 from ..query.source import as_source
 from .admission import ClientRateLimiter, retry_after_header
 
@@ -118,9 +116,11 @@ _STATUS_TEXT = {
 class TelemetryServer:
     """Serve query results for one archive over HTTP/JSON.
 
-    ``target`` may be an archive path, a source object, or — required
-    for ``shard_workers > 0`` unless it is a path — a zero-argument
-    callable producing a fresh source per scatter lane.
+    ``target`` is an archive path or a source object.  One
+    :class:`~repro.query.engine.QueryEngine` reads it through one
+    :class:`~repro.query.resilient.ResilientSource`.  ``shard_workers``
+    accepts only 0, its default; the keyword stays so that callers
+    which pass it keep working.
     """
 
     def __init__(
@@ -146,10 +146,8 @@ class TelemetryServer:
         read_timeout_s: float | None = None,
         max_stale_s: float = 300.0,
         stale_cache_entries: int = 32,
-        # -- scatter-gather ---------------------------------------------
+        # -- accepted for existing callers; 0 only ----------------------
         shard_workers: int = 0,
-        hedge_delay_s: float = 0.1,
-        partition_timeout_s: float = 30.0,
         # -- online prediction -------------------------------------------
         predictor=None,
     ):
@@ -167,33 +165,20 @@ class TelemetryServer:
             raise ValueError("max_queue_depth must be >= 0")
         if rate_limit_qps is not None and rate_limit_qps <= 0:
             raise ValueError("rate_limit_qps must be > 0")
-        if shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
+        if shard_workers != 0:
+            raise ValueError("shard_workers must be 0")
 
-        self.breaker: CircuitBreaker | None = None
-        self.resilient_source: ResilientSource | None = None
-        if shard_workers:
-            factory = target if callable(target) else (lambda: as_source(target))
-            self.engine = ScatterGatherEngine(
-                factory,
-                n_workers=shard_workers,
-                hedge_delay_s=hedge_delay_s,
-                partition_timeout_s=partition_timeout_s,
-                cache=cache,
-            )
-        else:
-            inner = target() if callable(target) else as_source(target)
-            self.breaker = CircuitBreaker(
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout_s=breaker_reset_timeout_s,
-            )
-            self.resilient_source = ResilientSource(
-                inner,
-                breaker=self.breaker,
-                retry=ReadRetryPolicy(retries=read_retries),
-                read_timeout_s=read_timeout_s,
-            )
-            self.engine = QueryEngine(self.resilient_source, cache=cache)
+        self.breaker = CircuitBreaker(
+            failure_threshold=breaker_failure_threshold,
+            reset_timeout_s=breaker_reset_timeout_s,
+        )
+        self.resilient_source = ResilientSource(
+            as_source(target),
+            breaker=self.breaker,
+            retry=ReadRetryPolicy(retries=read_retries),
+            read_timeout_s=read_timeout_s,
+        )
+        self.engine = QueryEngine(self.resilient_source, cache=cache)
         self.executor = ResilientExecutor(
             self.engine,
             stale=StaleResultCache(stale_cache_entries),
@@ -278,8 +263,7 @@ class TelemetryServer:
         # Release what the server holds: a stopped server can stay
         # reachable (asyncio transport cycles) until a full collection,
         # and its cached results and decoded segments with it.
-        if self.resilient_source is not None:
-            self.resilient_source.close()
+        self.resilient_source.close()
         self.engine.cache.clear()
         self.executor.stale.clear()
 
@@ -568,11 +552,12 @@ class TelemetryServer:
         except SourceUnavailableError as exc:
             # The operator endpoint must answer even when the archive
             # does not: report the breaker, not a 503.
-            out = {"status": "degraded", "error": str(exc)}
-            if self.breaker is not None:
-                out["breaker"] = self.breaker.state
-                out["retry_after_s"] = self.breaker.retry_after_s()
-            return out
+            return {
+                "status": "degraded",
+                "error": str(exc),
+                "breaker": self.breaker.state,
+                "retry_after_s": self.breaker.retry_after_s(),
+            }
         out = {
             "status": "ok",
             "nodes": len(shards),
@@ -580,7 +565,7 @@ class TelemetryServer:
             "zone_maps": int(shards.known.sum()),
             "fingerprint": fingerprint,
         }
-        if self.breaker is not None and self.breaker.state != "closed":
+        if self.breaker.state != "closed":
             out["status"] = "degraded"
             out["breaker"] = self.breaker.state
         manifest = getattr(self.engine.source, "manifest", None)
@@ -618,19 +603,13 @@ class TelemetryServer:
                 "keepalive_reuse": self._keepalive_reuse,
             },
         }
-        resilience: dict = {
+        out["resilience"] = {
             "degraded_responses": self._degraded_responses,
             "unavailable_responses": self._unavailable_responses,
             "degrade": self.executor.stats.to_dict(),
+            "breaker": self.breaker.to_dict(),
+            "reads": self.resilient_source.stats.to_dict(),
         }
-        if self.breaker is not None:
-            resilience["breaker"] = self.breaker.to_dict()
-        if self.resilient_source is not None:
-            resilience["reads"] = self.resilient_source.stats.to_dict()
-        scatter_stats = getattr(self.engine, "stats", None)
-        if scatter_stats is not None:
-            resilience["scatter"] = scatter_stats.to_dict()
-        out["resilience"] = resilience
         if self._predictor_status is not None:
             out["predictor"] = self._predictor_status
         io = getattr(self.engine.source, "io", None)
@@ -643,14 +622,11 @@ class TelemetryServer:
         outcome = await loop.run_in_executor(None, self.executor.execute, plan)
         payload = outcome.result.to_dict()
         payload["degraded"] = outcome.degraded
-        payload["partial"] = outcome.partial
         if outcome.degraded:
             self._degraded_responses += 1
             payload["degraded_reason"] = outcome.reason
         if outcome.stale:
             payload["stale_age_s"] = outcome.stale_age_s
-        if outcome.partial:
-            payload["missing_nodes"] = list(outcome.missing_nodes)
         return payload
 
     async def _predict(self, query_string: str) -> dict:

@@ -31,7 +31,6 @@ class LoadReport:
     ok_latencies_ms: list[float] = field(default_factory=list)
     degraded: int = 0
     stale: int = 0
-    partial: int = 0
     unflagged_degraded: int = 0
     retry_after_present: int = 0
     retry_after_missing: int = 0
@@ -58,7 +57,6 @@ class LoadReport:
             "shed": self.shed,
             "degraded": self.degraded,
             "stale": self.stale,
-            "partial": self.partial,
             "unflagged_degraded": self.unflagged_degraded,
             "transport_errors": self.transport_errors,
             "p50_ms": self.percentile_ms(50),
@@ -75,7 +73,6 @@ def _merge(total: LoadReport, part: LoadReport) -> None:
     total.ok_latencies_ms.extend(part.ok_latencies_ms)
     total.degraded += part.degraded
     total.stale += part.stale
-    total.partial += part.partial
     total.unflagged_degraded += part.unflagged_degraded
     total.retry_after_present += part.retry_after_present
     total.retry_after_missing += part.retry_after_missing
@@ -91,16 +88,15 @@ def run_load(
     requests_per_client: int = 25,
     timeout_s: float = 10.0,
     client_id_prefix: str = "loadgen",
-    expect_fresh: bool = False,
 ) -> LoadReport:
     """Hammer ``POST /query`` from ``clients`` keep-alive connections.
 
     Each worker cycles through ``plans`` on one persistent connection,
     identifying itself via ``X-Client-Id`` so per-client rate limits
-    bite deterministically.  ``expect_fresh`` tightens the honesty
-    check: any 200 carrying no truthful ``degraded`` flag *while the
-    body shows staleness markers* counts as ``unflagged_degraded`` —
-    the chaos battery gates on this staying zero.
+    bite deterministically.  A 200 whose body carries a staleness marker
+    (``stale_age_s``) without ``"degraded": true`` counts as
+    ``unflagged_degraded`` — the chaos battery gates on this staying
+    zero.
     """
     reports = [LoadReport() for _ in range(clients)]
     start = time.perf_counter()
@@ -151,19 +147,12 @@ def run_load(
                     continue
                 degraded = bool(payload.get("degraded"))
                 stale = "stale_age_s" in payload
-                partial = bool(payload.get("partial"))
                 if degraded:
                     report.degraded += 1
                 if stale:
                     report.stale += 1
-                if partial:
-                    report.partial += 1
-                if (stale or partial) and not degraded:
+                if stale and not degraded:
                     report.unflagged_degraded += 1
-                if expect_fresh and degraded:
-                    # Counted, not failed: the caller decides whether a
-                    # degraded answer was legitimate for the window.
-                    pass
         finally:
             conn.close()
 

@@ -188,6 +188,18 @@ class TestBuildTrack:
         assert (t.alloc_mb <= 3072).all()
         assert (t.alloc_mb > 0).all()
 
+    def test_allocation_backs_off_on_the_request_grid(self):
+        """Paper Sec II-B: ask for 3 GB, then 10 MB less until it fits."""
+        t = build(*spaced(2000), np.random.default_rng(3), p_truncation=0.0)
+        assert (t.alloc_mb % 10 == 2).all()  # 3072 - k*10
+        assert t.alloc_mb.max() == 3072
+        assert (t.alloc_mb < 3072).any()
+        assert 0.88 < float((t.alloc_mb == 3072).mean()) < 0.96
+
+    def test_allocation_failure_drops_the_session(self):
+        t = build(*spaced(50), np.random.default_rng(4), p_alloc_fail=1.0)
+        assert t.n_sessions == 0
+
     def test_truncation_drops_sessions(self):
         rng = np.random.default_rng(1)
         t = build(*spaced(500), rng, p_truncation=0.5)

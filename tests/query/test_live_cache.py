@@ -116,7 +116,7 @@ class TestServerSeesIngest:
             return json.loads(response.read())
 
     def test_query_endpoint_serves_live_data(self, live):
-        server = TelemetryServer(live.directory, max_concurrency=2)
+        server = TelemetryServer(str(live.directory), shard_workers=0)
         handle = run_in_thread(server)
         try:
             plan = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -238,3 +239,45 @@ def test_concurrent_queries_across_commits_keep_the_caches_consistent(fleet):
     final = QueryEngine(source).execute(plan).column("count")[0]
     assert final == max(totals)
     assert source._segment_bytes == sum(s.nbytes for s in source._segments.values())
+
+
+def test_concurrent_shard_decodes_survive_collector_finalizers(staggered_dir):
+    """Readers decoding per-node shards while collections run Python
+    finalizers: ``np.load`` parses each header with ``ast.literal_eval``,
+    whose recursion counter CPython 3.11 shares between threads, so
+    unserialized decodes die with ``SystemError``."""
+
+    class Cyclic:
+        def __init__(self):
+            self.me = self  # only the cycle collector frees it
+
+        def __del__(self):
+            sum(range(50))
+
+    source = ArchiveSource(staggered_dir)
+    failures: list[BaseException] = []
+
+    def reader(node: str) -> None:
+        deadline = time.perf_counter() + 1.0
+        try:
+            while time.perf_counter() < deadline:
+                Cyclic()
+                source.load_columns(node, {"kind", "t"})
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [
+            threading.Thread(target=reader, args=(node,))
+            for node in list(source.shards().nodes)[:4]
+        ]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not failures, failures

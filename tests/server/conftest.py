@@ -2,7 +2,7 @@
 
 The suite drives a real server over real TCP sockets (keep-alive
 matters here, so helpers use ``http.client``, not urllib) against the
-golden corpus and the staggered synthetic archive from the query suite.
+golden corpus.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 from repro.logs.columnar import ColumnarArchive
 from repro.server import TelemetryServer, run_in_thread
-from tests.query.conftest import make_staggered_archive
 
 GOLDEN = Path(__file__).parents[1] / "data" / "golden_logs"
 
@@ -45,13 +44,6 @@ class FakeClock:
 def golden_dir(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("server-golden")
     ColumnarArchive.read_text_directory(GOLDEN).save(path)
-    return path
-
-
-@pytest.fixture(scope="session")
-def staggered_dir(tmp_path_factory) -> Path:
-    path = tmp_path_factory.mktemp("server-staggered")
-    make_staggered_archive().save(path)
     return path
 
 

@@ -222,6 +222,7 @@ class TestConfigValidation:
             {"rate_limit_qps": 0.0},
             {"request_timeout_s": 0.0},
             {"shard_workers": -1},
+            {"shard_workers": 1},
         ],
     )
     def test_bad_kwargs_rejected(self, golden_dir, kwargs):

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.chaos import ChaosSource, reset_reads_on, slow_reads, wedge_reads_on
+from repro.chaos import ChaosSource, reset_reads_on, slow_reads
 from repro.query import ArchiveSource
 from repro.query.cache import QueryCache
 from repro.server import run_load
@@ -183,49 +181,4 @@ class TestChaosBattery:
             assert_honest(report)
             assert report.count(429) >= 1
             assert report.count(200) >= 2  # the burst was admitted
-            assert_drained(handle.server)
-
-
-class TestScatterBattery:
-    def test_scatter_tier_survives_wedged_first_reads(self, staggered_dir):
-        # The first read of one node wedges; hedged retries keep p99 off
-        # the floor and every answer stays fresh and complete.
-        shared = ChaosSource(
-            ArchiveSource(staggered_dir),
-            wedge_reads_on("00-04", attempts=(1,), wedge_seconds=2.0),
-        )
-        with serving(
-            lambda: shared,
-            shard_workers=4,
-            hedge_delay_s=0.05,
-            cache=QueryCache(max_entries=0),
-        ) as handle:
-            report = run_load(
-                handle.server.host,
-                handle.server.port,
-                [COUNT_PLAN, PLANS[1]],
-                clients=3,
-                requests_per_client=4,
-            )
-            assert_honest(report)
-            assert report.count(200) == report.requests
-            assert report.degraded == 0
-            assert report.partial == 0
-            status_metrics = handle.server
-            assert status_metrics.engine.stats.hedges_launched >= 1
-            assert_drained(handle.server)
-
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_scatter_tier_clean_load(self, staggered_dir, workers):
-        with serving(staggered_dir, shard_workers=workers) as handle:
-            report = run_load(
-                handle.server.host,
-                handle.server.port,
-                PLANS,
-                clients=4,
-                requests_per_client=5,
-            )
-            assert_honest(report)
-            assert report.count(200) == report.requests
-            assert handle.server.engine.stats.partitions_run >= workers
             assert_drained(handle.server)

@@ -172,7 +172,7 @@ class TestStaleResultCache:
     def test_bounded_staleness(self):
         clock = FakeClock()
         cache = StaleResultCache(clock=clock)
-        cache.put("digest", "result", fingerprint="fp")
+        cache.put("digest", "result")
         clock.advance(10.0)
         hit = cache.get("digest", max_stale_s=30.0)
         assert hit is not None
