@@ -4,8 +4,9 @@ Generates a paper-scale synthetic archive (many nodes, repr-precision
 timestamps, repeat-compressed bursts, START/END session framing, one
 gzipped node) and times three ingest routes to an :class:`ErrorFrame`:
 
-* the text reference path (``LogArchive.read_directory`` +
-  ``ErrorFrame.from_records``),
+* the record-object reference path (``LogArchive.read_directory`` +
+  ``ErrorFrame.from_records``, from ``tests/logs/record_reference.py``;
+  run from the repository root so ``tests`` imports),
 * the streaming columnar parser (``ColumnarArchive.read_text_directory``),
 * reloading the saved binary archive (``ColumnarArchive.load``).
 
@@ -24,7 +25,7 @@ import pytest
 from repro.analysis.extraction import extract
 from repro.logs.columnar import ColumnarArchive
 from repro.logs.frame import ErrorFrame
-from repro.logs.store import LogArchive
+from tests.logs.record_reference import LogArchive
 
 #: ISSUE acceptance target for columnar over text ingest.
 SPEEDUP_TARGET = 5.0

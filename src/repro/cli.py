@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--format",
-        choices=("text", "json", "json-v1", "sarif"),
+        choices=("text", "json", "sarif"),
         default="text",
         help="finding output format (json = schema_version 2)",
     )
@@ -622,9 +622,13 @@ def _cmd_ingest(args) -> int:
     from pathlib import Path
 
     from .core.errors import LogFormatError
-    from .logs.columnar import RecordColumns, read_log_file
+    from .logs.columnar import (
+        RecordColumns,
+        directory_log_files,
+        node_stem,
+        read_log_file,
+    )
     from .logs.ingest import LiveArchive
-    from .logs.store import directory_log_files, node_stem
 
     src = Path(args.src)
     if not src.is_dir():
@@ -752,7 +756,6 @@ def _cmd_lint(args) -> int:
         all_rules,
         default_cache_path,
         render_json,
-        render_json_v1,
         render_sarif,
         render_text,
         run_lint,
@@ -789,8 +792,6 @@ def _cmd_lint(args) -> int:
         )
         if args.format == "json":
             print(render_json(result))
-        elif args.format == "json-v1":
-            print(render_json_v1(result))
         elif args.format == "sarif":
             print(render_sarif(result))
         else:

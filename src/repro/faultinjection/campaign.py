@@ -227,8 +227,8 @@ class CampaignResult:
     config: CampaignConfig
     registry: ClusterRegistry
     tracks: dict[str, SessionTrack]
-    #: Every node's records, assembled in memory or read from the stream
-    #: directory (lazily) on a streamed run.
+    #: Every node's records, assembled in memory or read back from the
+    #: stream directory on a streamed run.
     archive: ColumnarArchive
     n_observations: int
     _frames: dict = field(default_factory=dict, repr=False)
@@ -580,10 +580,9 @@ def run_campaign(
     every node's records in parent RAM: each unit's columns leave the
     in-memory result as they arrive, and every ``stream_flush_nodes``
     completed units are committed as one level-0 segment.  The returned
-    :class:`CampaignResult` then carries a lazily-loaded
-    :class:`ColumnarArchive` over that directory — bit-identical, record
-    for record, to the archive the same configuration assembles in
-    memory.
+    :class:`CampaignResult` then carries the :class:`ColumnarArchive`
+    loaded from that directory — bit-identical, record for record, to the
+    archive the same configuration assembles in memory.
 
     The stream directory is also the campaign's checkpoint.  Its ledger
     names the campaign (``campaign:<config digest>``, committed before
@@ -690,7 +689,7 @@ def run_campaign(
         # uncommitted: once in the ledger, a resume could not replace it.
         if not lost & {plan.node for plan in ctx.plans}:
             live.append_batch({"catalogue": catalogue})
-        archive = ColumnarArchive.load(stream_to, lazy=True)
+        archive = ColumnarArchive.load(stream_to)
     else:
         # Per node, canonical order; rows tied on time and kind keep the
         # concatenation's order (units, then the catalogue).

@@ -30,7 +30,7 @@ from .cache import default_cache_path
 from .config import LintConfig
 from .engine import LintResult, run_lint
 from .findings import Finding
-from .report import render_json, render_json_v1, render_sarif, render_text
+from .report import render_json, render_sarif, render_text
 from .rules import all_rules
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "all_rules",
     "default_cache_path",
     "render_json",
-    "render_json_v1",
     "render_sarif",
     "render_text",
     "run_lint",

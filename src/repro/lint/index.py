@@ -55,7 +55,7 @@ class ModuleInfo:
     """Everything the rules need to know about one parsed file."""
 
     path: str                   # as reported in findings (relative, "/" separators)
-    module: str                 # dotted module name ("repro.logs.store")
+    module: str                 # dotted module name ("repro.logs.columnar")
     tree: ast.Module
     source: str
     #: local alias -> imported dotted target ("np" -> "numpy",

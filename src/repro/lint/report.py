@@ -1,9 +1,7 @@
-"""Reporters: text, JSON (v2 + legacy v1), and SARIF 2.1.0.
+"""Reporters: text, JSON (``schema_version`` 2), and SARIF 2.1.0.
 
-The JSON contract moved to ``schema_version`` 2 with the incremental
-engine: the payload now carries the analysis counters and timings CI
-asserts on.  v1 (the PR-5 shape, with its ``version`` key) is frozen
-and stays available for older tooling via ``--format json-v1``:
+The JSON payload carries the analysis counters and timings CI asserts
+on:
 
 .. code-block:: json
 
@@ -36,7 +34,6 @@ from .engine import LintResult
 from .rules import all_rules
 
 JSON_SCHEMA_VERSION = 2
-JSON_SCHEMA_VERSION_LEGACY = 1
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -90,20 +87,6 @@ def render_json(result: LintResult) -> str:
         "clean": not result.findings and not result.errors,
         "files_scanned": result.summary.files_scanned,
         "analysis": result.analysis,
-        "findings": [f.to_dict() for f in result.findings],
-        "suppressed": [f.to_dict() for f in result.suppressed],
-        "errors": [e.to_dict() for e in result.errors],
-        "summary": {"by_rule": dict(sorted(result.summary.by_rule.items()))},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_json_v1(result: LintResult) -> str:
-    """The frozen PR-5 payload, byte-compatible for old consumers."""
-    payload = {
-        "version": JSON_SCHEMA_VERSION_LEGACY,
-        "clean": not result.findings and not result.errors,
-        "files_scanned": result.summary.files_scanned,
         "findings": [f.to_dict() for f in result.findings],
         "suppressed": [f.to_dict() for f in result.suppressed],
         "errors": [e.to_dict() for e in result.errors],

@@ -1,10 +1,15 @@
 """Log formats, per-node archives, and the array-backed error table."""
 
-from .columnar import ColumnarArchive, RecordColumns, read_log_file
+from .columnar import (
+    ColumnarArchive,
+    RecordColumns,
+    directory_log_files,
+    format_chunk,
+    read_log_file,
+)
 from .format import format_record, parse_line
 from .frame import ErrorFrame
 from .ingest import CompactionReport, IngestReport, LiveArchive, compact_archive
-from .store import LogArchive, directory_log_files
 
 __all__ = [
     "ColumnarArchive",
@@ -12,10 +17,10 @@ __all__ = [
     "ErrorFrame",
     "IngestReport",
     "LiveArchive",
-    "LogArchive",
     "RecordColumns",
     "compact_archive",
     "directory_log_files",
+    "format_chunk",
     "format_record",
     "parse_line",
     "read_log_file",

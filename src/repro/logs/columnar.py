@@ -1,28 +1,27 @@
-"""Streaming columnar log ingestion and the binary shard archive.
+"""Log records as columns: the text codec and the binary shard archive.
 
-The text logs (:mod:`repro.logs.format`) are the portable reference
-representation, but at paper scale (>25M raw error lines) parsing them
-one :class:`~repro.core.records.LogRecord` dataclass at a time dominates
-wall time and memory.  This module provides the fast path:
+The text logs (:mod:`repro.logs.format`) are the portable representation,
+but at paper scale (>25M raw error lines) handling them one
+:class:`~repro.core.records.LogRecord` object at a time dominates wall
+time and memory.  Records therefore live as columns from text to text:
 
+* :class:`RecordColumns`, one NumPy array per record field, exact enough
+  to round-trip the text format bit for bit;
 * one byte-level **text parser** (:func:`parse_chunk`) that turns
-  ``<node>.log[.gz]`` text directly into column arrays — runs of ERROR
-  lines are validated and converted column-wise straight from the byte
-  buffer, and no per-line record object is ever created;
-* :class:`RecordColumns`, the structure-of-arrays twin of a record list,
-  exact enough to round-trip back to the text format bit-for-bit;
-* :class:`ColumnarArchive`, the per-node archive in columnar form, with a
-  **versioned binary format**: one ``<node>.npz`` shard per node plus a
+  ``<node>.log[.gz]`` text directly into columns — runs of ERROR lines
+  are validated and converted column-wise straight from the byte buffer;
+* its inverse, the **text writer** (:func:`format_chunk`), one ``%``
+  format per run of same-kind rows;
+* :class:`ColumnarArchive`, the per-node archive, with a **versioned
+  binary format**: one ``<node>.npz`` shard per node plus a
   ``manifest.json`` carrying the format version, record counts, and a
-  SHA-256 checksum per shard;
-* per-file ingest fanned out over the :mod:`repro.parallel` backends.
+  SHA-256 checksum per shard.
 
-The text path stays the reference implementation: both paths must produce
-bit-identical :class:`~repro.logs.frame.ErrorFrame` contents and identical
-extraction results (property-tested and enforced in CI).  Any line the
-fast path cannot handle falls back to :func:`~repro.logs.format.parse_line`,
-so malformed input fails with the same :class:`LogFormatError` family the
-reference parser raises.
+No record object is built on either text path.  Any line the parser's
+bulk path cannot take falls back to :func:`~repro.logs.format.parse_line`,
+so malformed input fails with the line parser's :class:`LogFormatError`.
+The record-object reader and writer survive under ``tests/`` as the
+differential reference both directions are checked against.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import os
 import tempfile
 import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,7 +105,7 @@ SHARD_COLUMNS: dict[str, np.dtype] = {
 
 
 # ---------------------------------------------------------------------------
-# RecordColumns: structure-of-arrays twin of a list[LogRecord]
+# RecordColumns: one array per record field
 # ---------------------------------------------------------------------------
 
 
@@ -118,8 +116,8 @@ class RecordColumns:
     Non-applicable fields hold zeros (e.g. ``va`` on a START row); ``temp``
     is float64 with NaN for "not logged" so parsed temperatures survive
     exactly.  ``node_code`` indexes ``node_names`` — a per-node shard has a
-    single name, but the parser tolerates mixed-node files the same way
-    the reference reader does.
+    single name, but the parser and the writer both handle mixed-node
+    columns, one line per row whatever its node.
     """
 
     kind: np.ndarray
@@ -157,20 +155,6 @@ class RecordColumns:
             node_code=np.empty(0, dtype=np.int32),
             node_names=[],
         )
-
-    @classmethod
-    def from_records(cls, records: Iterable[LogRecord]) -> "RecordColumns":
-        """Reference columnarization: one pass over record objects.
-
-        Word values are masked to 32 bits, matching
-        :meth:`ErrorFrame._build`; the scanner only ever emits 32-bit
-        words.  An object that is not one of the four record types
-        raises :class:`LogFormatError`.
-        """
-        staging = _Staging()
-        for record in records:
-            staging.add_record(record)
-        return staging.build()
 
     @classmethod
     def concat(cls, parts: Sequence["RecordColumns"]) -> "RecordColumns":
@@ -231,57 +215,6 @@ class RecordColumns:
                 node_names=[name],
             )
         return out
-
-    # -- materialization ---------------------------------------------------
-
-    def to_records(self) -> list[LogRecord]:
-        """Materialize record objects (the bridge back to the text path).
-
-        Each column leaves the array domain once, as one list of Python
-        scalars; the row loop then only builds the record objects.
-        """
-        names = self.node_names
-        fields = (
-            "kind", "t", "node_code", "temp", "mb", "va", "pp",
-            "expected", "actual", "rep",
-        )
-        # repro: noqa[NPY002]: record objects are Python values; this method is the exit from the array domain
-        rows = zip(*(getattr(self, name).tolist() for name in fields))
-        records: list[LogRecord] = []
-        for kind, t, code, tc, mb, va, pp, expected, actual, rep in rows:
-            node = names[code]
-            temp = None if math.isnan(tc) else tc
-            if kind == KIND_ERROR:
-                records.append(
-                    ErrorRecord(
-                        timestamp_hours=t,
-                        node=node,
-                        virtual_address=va,
-                        physical_page=pp,
-                        expected=expected,
-                        actual=actual,
-                        temperature_c=temp,
-                        repeat_count=rep,
-                    )
-                )
-            elif kind == KIND_START:
-                records.append(
-                    StartRecord(
-                        timestamp_hours=t,
-                        node=node,
-                        allocated_mb=mb,
-                        temperature_c=temp,
-                    )
-                )
-            elif kind == KIND_END:
-                records.append(
-                    EndRecord(timestamp_hours=t, node=node, temperature_c=temp)
-                )
-            elif kind == KIND_ALLOC_FAIL:
-                records.append(AllocFailRecord(timestamp_hours=t, node=node))
-            else:
-                raise ColumnarFormatError(f"unknown kind code {kind}")
-        return records
 
 
 class _Staging:
@@ -349,8 +282,12 @@ class _Staging:
         self.blocks.append(arrays)
 
     def add_record(self, record: LogRecord) -> None:
-        """Append one record object (the per-line parser's fallback and
-        :meth:`RecordColumns.from_records`)."""
+        """Append one record object (the per-line parser's fallback).
+
+        Word values are masked to 32 bits, matching
+        :meth:`ErrorFrame._build`; an object that is not one of the four
+        record types raises :class:`LogFormatError`.
+        """
         code = self.intern(record.node)
         if isinstance(record, ErrorRecord):
             self.add_error_values(
@@ -892,14 +829,107 @@ def read_log_file(path: str | Path) -> RecordColumns:
     )
 
 
+def node_stem(path: Path) -> str:
+    """The node name encoded in a log file name (``01-02.log[.gz]``)."""
+    name = path.name
+    if name.endswith(".log.gz"):
+        return name[: -len(".log.gz")]
+    if name.endswith(".log"):
+        return name[: -len(".log")]
+    return path.stem
+
+
+def directory_log_files(path: str | Path) -> list[Path]:
+    """Log files of a directory, deduplicated by node and stem-sorted.
+
+    A directory holding both ``node.log`` and ``node.log.gz`` (e.g. a
+    partially-compressed archive) yields the node once — the uncompressed
+    file wins — and the result is sorted by node stem in one pass, so
+    ``.log`` and ``.log.gz`` files interleave in deterministic node order
+    instead of grouping by extension.
+    """
+    directory = Path(path)
+    by_stem: dict[str, Path] = {}
+    for log_file in sorted(directory.glob("*.log")) + sorted(directory.glob("*.log.gz")):
+        by_stem.setdefault(node_stem(log_file), log_file)
+    return [by_stem[stem] for stem in sorted(by_stem)]
+
+
+# ---------------------------------------------------------------------------
+# Text writer (the inverse of parse_chunk)
+# ---------------------------------------------------------------------------
+
+
+#: Kind code -> (line template, columns in field order).  ``{node}`` and
+#: ``{temp}`` are filled once per run: the node name (``%``-escaped) and
+#: ``%.2f``, or the literal ``na`` when the run's temperature is NaN (the
+#: ``temp`` column is then dropped from the values).
+_LINE_LAYOUTS = {
+    KIND_START: ("START|t=%r|node={node}|mb=%d|temp={temp}\n", ("t", "mb", "temp")),
+    KIND_ERROR: (
+        "ERROR|t=%r|node={node}|va=0x%x|pp=0x%x|exp=0x%08x|act=0x%08x"
+        "|temp={temp}|rep=%d\n",
+        ("t", "va", "pp", "expected", "actual", "temp", "rep"),
+    ),
+    KIND_END: ("END|t=%r|node={node}|temp={temp}\n", ("t", "temp")),
+    KIND_ALLOC_FAIL: ("ALLOC_FAIL|t=%r|node={node}\n", ("t",)),
+}
+
+
+def format_chunk(cols: RecordColumns) -> str:
+    """Render columns as log text: the exact inverse of :func:`parse_chunk`.
+
+    Byte for byte what :func:`~repro.logs.format.format_record` writes
+    for each row, one line per row: ``%r`` timestamps (the shortest
+    repr that round-trips), ``%.2f`` temperatures and ``na`` for NaN,
+    lowercase hex.  Rows are grouped into maximal runs that share kind,
+    node and whether the temperature is logged, and each run is one
+    ``%`` format over its values, so no record object is built.  A kind
+    code outside 0..3 raises :class:`ColumnarFormatError`.
+    """
+    n = len(cols)
+    if not n:
+        return ""
+    kind = cols.kind
+    bad = np.flatnonzero(kind > KIND_ALLOC_FAIL)
+    if bad.size:
+        raise ColumnarFormatError(f"unknown kind code {int(kind[bad[0]])}")
+    logged = ~np.isnan(cols.temp)
+    change = (
+        (kind[1:] != kind[:-1])
+        | (cols.node_code[1:] != cols.node_code[:-1])
+        | (logged[1:] != logged[:-1])
+    )
+    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+    stops = np.concatenate([starts[1:], [n]])
+    text = []
+    for lo, hi in zip(starts, stops):
+        template, fields = _LINE_LAYOUTS[int(kind[lo])]
+        if logged[lo]:
+            temp = "%.2f"
+        else:
+            temp = "na"
+            fields = tuple(name for name in fields if name != "temp")
+        node = cols.node_names[cols.node_code[lo]].replace("%", "%%")
+        # One row of Python values per line, flattened row-major: the
+        # object array converts each column slice in one C loop.
+        values = np.empty((hi - lo, len(fields)), dtype=object)
+        for j, name in enumerate(fields):
+            values[:, j] = getattr(cols, name)[lo:hi]
+        line = template.format(node=node, temp=temp)
+        # repro: noqa[NPY002]: text output is Python strings; each value leaves the array domain once
+        text.append((line * int(hi - lo)) % tuple(values.ravel().tolist()))
+    return "".join(text)
+
+
 # ---------------------------------------------------------------------------
 # Canonical record order
 # ---------------------------------------------------------------------------
 
 
-#: Tie rank of each kind *code* under the text path's sort key.  The
-#: reference :meth:`LogArchive.sort` orders equal-timestamp records by
-#: ``RecordKind.value`` — a *string* — so the tie order is alphabetical:
+#: Tie rank of each kind *code* in the canonical record order.  Records
+#: with equal timestamps are ordered by the record-kind *name* — the
+#: string ``RecordKind.value`` — so the tie order is alphabetical:
 #: ALLOC_FAIL < END < ERROR < START, i.e. rank ``3 - code`` for the
 #: stable on-disk codes 0..3.  Every columnar merge must reproduce this
 #: exact order or streamed archives stop being bit-identical to batch
@@ -913,10 +943,11 @@ def canonical_sort_order(
     """Stable permutation into the archive's canonical record order.
 
     Primary key: timestamp.  Secondary key: the record-kind *name* in
-    string order (see :data:`_KIND_SORT_RANK`), matching
-    :meth:`repro.logs.store.LogArchive.sort` tie for tie.  Stability
-    means equal ``(t, kind)`` rows keep their input order, which is how
-    multi-part merges preserve commit (``seq``) order among ties.
+    string order (see :data:`_KIND_SORT_RANK`), which is how a stable
+    sort of records on ``(timestamp_hours, kind.value)`` orders them,
+    tie for tie.  Stability means equal ``(t, kind)`` rows keep their
+    input order, which is how multi-part merges preserve commit
+    (``seq``) order among ties.
 
     With ``group`` (an integer key per row) the permutation sorts by
     group first, then the canonical key within each group — equivalent
@@ -1121,11 +1152,11 @@ def write_manifest_atomic(
 class ColumnarArchive:
     """Per-node log archive held as column arrays.
 
-    The columnar twin of :class:`~repro.logs.store.LogArchive`: same
-    query API (``nodes``, ``records``, ``error_records``, counts), but
-    errors reach the analysis as an :class:`ErrorFrame` without ever
-    materializing record objects.  Persisted as one ``.npz`` shard per
-    node plus a checksummed manifest (see :meth:`save` / :meth:`load`).
+    One :class:`RecordColumns` per node, in canonical record order.
+    Errors reach the analysis as an :class:`ErrorFrame` and text through
+    :func:`format_chunk`, neither building a record object.  Persisted as
+    one ``.npz`` shard per node plus a checksummed manifest (see
+    :meth:`save` / :meth:`load`).
     """
 
     def __init__(self, columns_by_node: dict[str, RecordColumns] | None = None):
@@ -1135,149 +1166,62 @@ class ColumnarArchive:
         self.skipped_shards: dict[str, ShardCorruptError] = {}
         #: The manifest this archive was loaded from, if any.
         self.manifest: dict | None = None
-        # Lazy-load state (entry-granular, since one v3 segment entry may
-        # cover many nodes): file -> entry not yet decoded, node -> files
-        # covering it, node -> decoded-but-unmerged (seq, part) pairs.
-        # An entry is always consumed atomically — decoding distributes
-        # *all* its nodes into ``_parts`` — so pending-entry counts and
-        # loaded-part counts never overlap.
-        self._pending: dict[str, dict] = {}
-        self._node_files: dict[str, list[str]] = {}
-        self._parts: dict[str, list[tuple[int, RecordColumns]]] = {}
-        self._directory: Path | None = None
-        self._verify_checksums = True
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_log_archive(cls, archive) -> "ColumnarArchive":
-        """Columnarize an in-memory :class:`LogArchive` (reference path)."""
-        return cls(
-            {
-                node: RecordColumns.from_records(archive.records(node))
-                for node in archive.nodes
-            }
-        )
+    # -- text --------------------------------------------------------------
 
     @classmethod
     def read_text_directory(cls, path: str | Path) -> "ColumnarArchive":
         """Ingest a directory of text logs, one file after another.
 
-        Files are deduplicated by node stem and stem-sorted (shared with
-        the reference reader), so node order — and therefore every
-        downstream frame — is deterministic.
+        Files are deduplicated by node stem and stem-sorted
+        (:func:`directory_log_files`), so node order — and therefore
+        every downstream frame — is deterministic.
         """
-        from .store import directory_log_files
-
         parts = [read_log_file(file) for file in directory_log_files(path)]
         return cls(RecordColumns.concat(parts).split_by_node())
+
+    def write_text_directory(self, path: str | Path) -> None:
+        """Write one ``<node>.log`` per node holding records, through
+        :func:`format_chunk`."""
+        directory = Path(path)
+        directory.mkdir(parents=True, exist_ok=True)
+        for node in self.nodes:
+            cols = self._by_node[node]
+            if len(cols):
+                with open(directory / f"{node}.log", "w", encoding="ascii") as fh:
+                    fh.write(format_chunk(cols))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
-        return sorted(
-            self._by_node.keys() | self._node_files.keys() | self._parts.keys()
-        )
+        return sorted(self._by_node)
 
     def columns(self, node: str) -> RecordColumns:
         cols = self._by_node.get(node)
-        if cols is None and (node in self._node_files or node in self._parts):
-            cols = self._assemble(node)
         return cols if cols is not None else RecordColumns.empty()
 
-    def _decode_entry(self, entry: dict) -> None:
-        """Read one manifest entry and distribute its rows into ``_parts``."""
-        cols = _load_shard(
-            self._directory, entry, verify_checksum=self._verify_checksums
-        )
-        seq = int(entry.get("seq") or 0)
-        node = entry.get("node")
-        if node is not None:
-            self._parts.setdefault(node, []).append((seq, cols))
-        else:
-            for name, sub in cols.split_by_node().items():
-                self._parts.setdefault(name, []).append((seq, sub))
-
-    def _assemble(self, node: str) -> RecordColumns:
-        """Materialize one node: decode its covering entries, merge parts."""
-        for filename in self._node_files.pop(node, ()):
-            entry = self._pending.pop(filename, None)
-            if entry is not None:  # None: already decoded via a sibling node
-                self._decode_entry(entry)
-        parts = sorted(self._parts.pop(node, []), key=lambda p: p[0])
-        cols = merge_node_parts([part for _, part in parts])
-        self._by_node[node] = cols
-        return cols
-
-    def is_loaded(self, node: str) -> bool:
-        """False while a lazily-opened shard has not been read from disk."""
-        return node in self._by_node
-
-    def records(self, node: str) -> list[LogRecord]:
-        return self.columns(node).to_records()
-
-    def all_records(self) -> Iterator[LogRecord]:
-        for node in self.nodes:
-            yield from self.records(node)
-
-    def error_records(self, node: str | None = None) -> Iterator[ErrorRecord]:
-        nodes = [node] if node is not None else self.nodes
-        for n in nodes:
-            for record in self.records(n):
-                if isinstance(record, ErrorRecord):
-                    yield record
-
-    def _pending_count(self, field: str) -> int:
-        """Sum a manifest count over rows not yet merged into ``_by_node``:
-        undecoded entries contribute their manifest totals (decoding only
-        those whose entry lacks the field — hand-edited manifests), and
-        decoded-but-unmerged parts are counted directly."""
-        total = 0
-        for filename, entry in list(self._pending.items()):
-            value = entry.get(field)
-            if value is None:
-                del self._pending[filename]
-                self._decode_entry(entry)
-                continue  # its rows are in _parts now, counted below
-            total += int(value)
-        for parts in self._parts.values():
-            for _, cols in parts:
-                total += (
-                    len(cols) if field == "n_records" else int(getattr(cols, field))
-                )
-        return total
-
     def n_records(self) -> int:
-        return sum(len(c) for c in self._by_node.values()) + self._pending_count(
-            "n_records"
-        )
+        return sum(len(c) for c in self._by_node.values())
 
     def n_errors(self) -> int:
-        return sum(c.n_errors for c in self._by_node.values()) + self._pending_count(
-            "n_errors"
-        )
+        return sum(c.n_errors for c in self._by_node.values())
 
     def n_raw_error_lines(self) -> int:
         """The paper's ">25 million error logs" number (repeats expanded)."""
-        return sum(
-            c.n_raw_lines for c in self._by_node.values()
-        ) + self._pending_count("n_raw_lines")
-
-    # -- the fast path -----------------------------------------------------
+        return sum(c.n_raw_lines for c in self._by_node.values())
 
     def error_frame(self) -> ErrorFrame:
         """All ERROR rows as an :class:`ErrorFrame`, fully vectorized.
 
-        Matches ``ErrorFrame.from_records(archive.error_records())``
-        bit-for-bit: nodes are visited in sorted order and codes assigned
-        at first error appearance, which is exactly the interning order
-        the record-loop constructor produces.
+        Nodes are visited in sorted order and codes assigned at first
+        error appearance, the interning order
+        :meth:`ErrorFrame.from_records` gives the same errors.
         """
         names: list[str] = []
         chunks: list[tuple[RecordColumns, np.ndarray, int]] = []
         for node in self.nodes:
-            cols = self.columns(node)  # materializes lazy shards
+            cols = self._by_node[node]
             mask = cols.kind == KIND_ERROR
             if not mask.any():
                 continue
@@ -1299,20 +1243,6 @@ class ColumnarArchive:
             repeat_count=np.concatenate([c.rep[m] for c, m, _ in chunks]),
         )
 
-    # -- bridges -----------------------------------------------------------
-
-    def to_log_archive(self):
-        """Materialize the record-object archive (reference form)."""
-        from .store import LogArchive
-
-        archive = LogArchive()
-        for node in self.nodes:
-            archive.extend(self.records(node))
-        return archive
-
-    def write_text_directory(self, path: str | Path, compress: bool = False) -> None:
-        self.to_log_archive().write_directory(path, compress=compress)
-
     # -- binary persistence ------------------------------------------------
 
     def save(self, path: str | Path) -> dict:
@@ -1330,7 +1260,7 @@ class ColumnarArchive:
         directory.mkdir(parents=True, exist_ok=True)
         shards = []
         for seq, node in enumerate(self.nodes):
-            cols = self.columns(node)  # materializes lazy shards
+            cols = self._by_node[node]
             filename = f"{node}.npz"
             payload = shard_payload(cols, node)
             with open(directory / filename, "wb") as fh:
@@ -1376,7 +1306,6 @@ class ColumnarArchive:
         *,
         verify_checksums: bool = True,
         skip_corrupt: bool = False,
-        lazy: bool = False,
     ) -> "ColumnarArchive":
         """Read a columnar archive, validating version, layout and checksums.
 
@@ -1389,38 +1318,16 @@ class ColumnarArchive:
         Archive-level problems (missing/corrupt manifest, unknown format
         version) stay fatal either way.
 
-        With ``lazy=True`` only the manifest is read eagerly; each node's
-        shard(s) are read (and checksum-verified) on first access, so
-        touching one node of a thousand-node archive costs one file read
-        (plus, under v3, any multi-node segment covering it).  Counts
-        come from the manifest without any shard I/O.  Lazy loads cannot
-        degrade — shard damage surfaces at first access as the usual
-        :class:`ShardCorruptError` — so ``skip_corrupt`` is rejected in
-        combination with ``lazy``.
-
         v3 archives may cover one node with several entries (live L0
         segments plus compacted runs); parts are assembled in commit
         (``seq``) order through :func:`merge_node_parts`, and a corrupt
         entry under ``skip_corrupt`` drops *every* node it covers (a
         partially-assembled node would silently miss records).
         """
-        if lazy and skip_corrupt:
-            raise ValueError(
-                "skip_corrupt requires eager loading (lazy=False): a lazy "
-                "load cannot know which shards are damaged up front"
-            )
         directory = Path(path)
         manifest = read_manifest(directory)
         archive = cls()
         archive.manifest = manifest
-        archive._directory = directory
-        archive._verify_checksums = verify_checksums
-        if lazy:
-            archive._pending = {e["file"]: e for e in manifest["shards"]}
-            for entry in manifest["shards"]:
-                for name in entry_nodes(entry):
-                    archive._node_files.setdefault(name, []).append(entry["file"])
-            return archive
         skipped: dict[str, ShardCorruptError] = {}
         parts: dict[str, list[tuple[int, RecordColumns]]] = {}
         for entry in manifest["shards"]:

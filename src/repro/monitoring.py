@@ -7,10 +7,10 @@ Sec III-I alarms as bursts develop, and recommend the Sec IV actions
 (quarantine, checkpoint tightening).
 
 :class:`LogFollower` incrementally reads a directory of ``<node>.log``
-files (tracking per-file offsets, tolerating rotation/truncation);
-:class:`OnlineMonitor` feeds new ERROR records to the spatio-temporal
-predictor and emits :class:`Advice` events.  ``repro monitor --dir``
-drives it from the CLI.
+files (tracking per-file byte offsets, tolerating rotation/truncation)
+into :class:`~repro.logs.columnar.RecordColumns`; :class:`OnlineMonitor`
+feeds their ERROR rows to the spatio-temporal alarm rule and emits
+:class:`Advice` events.  ``repro monitor --dir`` drives it from the CLI.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .core.records import ErrorRecord, LogRecord, RecordKind
-from .logs.format import parse_line
+import numpy as np
+
+from .logs.columnar import KIND_ERROR, RecordColumns, parse_chunk
 from .logs.frame import ErrorFrame
 from .resilience.prediction import AlarmRule, PredictorConfig
 
@@ -42,17 +43,20 @@ class LogFollower:
       a later re-creation is read from offset 0.
 
     Partial trailing lines are never consumed; they are completed (or
-    not) by a subsequent poll.
+    not) by a subsequent poll.  Offsets count bytes, and each file's new
+    complete lines go to :func:`~repro.logs.columnar.parse_chunk` as one
+    byte blob.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        # path -> (inode, byte offset of the next unread character)
+        # path -> (inode, byte offset of the next unread byte)
         self._state: dict[Path, tuple[int, int]] = {}
 
-    def poll(self) -> list[LogRecord]:
-        """All records appended since the previous poll, across files."""
-        records: list[LogRecord] = []
+    def poll(self) -> RecordColumns:
+        """All records appended since the previous poll, across files,
+        in stable time order (files in name order break ties)."""
+        parts: list[RecordColumns] = []
         seen: set[Path] = set()
         for log_file in sorted(self.directory.glob("*.log")):
             try:
@@ -68,25 +72,21 @@ class LogFollower:
                 self._state[log_file] = (inode, offset)
                 continue
             try:
-                with open(log_file, "r", encoding="ascii") as fh:
+                with open(log_file, "rb") as fh:
                     fh.seek(offset)
                     chunk = fh.read()
             except OSError:
                 seen.discard(log_file)  # vanished mid-poll; retry fresh
                 continue
             # Only consume complete lines; carry partials to next poll.
-            consumed = chunk.rfind("\n") + 1
-            for line in chunk[:consumed].splitlines():
-                if line.strip():
-                    records.append(parse_line(line))
-            self._state[log_file] = (
-                inode,
-                offset + len(chunk[:consumed].encode("ascii")),
-            )
+            consumed = chunk.rfind(b"\n") + 1
+            if consumed:
+                parts.append(parse_chunk(chunk[:consumed]))
+            self._state[log_file] = (inode, offset + consumed)
         for stale in set(self._state) - seen:
             del self._state[stale]
-        records.sort(key=lambda r: r.timestamp_hours)
-        return records
+        cols = RecordColumns.concat(parts)
+        return cols.take(np.argsort(cols.t, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,18 @@ class OnlineMonitor:
         self.state = MonitorState()
         self._rule = AlarmRule(self.config)
 
-    def ingest(self, records: list[LogRecord]) -> list[Advice]:
-        """Feed new records; return any advice triggered by them."""
+    def ingest(self, cols: RecordColumns) -> list[Advice]:
+        """Feed new records (ERROR rows in row order); return any advice
+        triggered by them."""
         advice: list[Advice] = []
-        for record in records:
-            if record.kind is not RecordKind.ERROR:
-                continue
-            assert isinstance(record, ErrorRecord)
-            node = record.node
-            t = record.timestamp_hours
+        rows = np.flatnonzero(cols.kind == KIND_ERROR)
+        names = cols.node_names
+        for code, t, rep in zip(
+            cols.node_code[rows].tolist(), cols.t[rows].tolist(), cols.rep[rows].tolist()
+        ):
+            node = names[code]
             self.state.n_errors += 1
-            self.state.n_raw_lines += record.repeat_count
+            self.state.n_raw_lines += rep
             self.state.errors_by_node[node] = (
                 self.state.errors_by_node.get(node, 0) + 1
             )
@@ -185,9 +186,25 @@ def monitor_directory(
 
 
 def frame_from_directory(directory: str | Path) -> ErrorFrame:
-    """Convenience: all ERROR records of a log directory as a table."""
-    follower = LogFollower(directory)
-    errors = [
-        r for r in follower.poll() if r.kind is RecordKind.ERROR
-    ]
-    return ErrorFrame.from_records(errors)
+    """Convenience: all ERROR records of a log directory as a table.
+
+    Rows in stable time order; node codes in order of first appearance,
+    as :meth:`ErrorFrame.from_records` would intern them.
+    """
+    cols = LogFollower(directory).poll()
+    errors = cols.take(np.flatnonzero(cols.kind == KIND_ERROR))
+    present, first = np.unique(errors.node_code, return_index=True)
+    order = present[np.argsort(first)]
+    recode = np.zeros(len(errors.node_names), dtype=np.int32)
+    recode[order] = np.arange(order.size, dtype=np.int32)
+    return ErrorFrame.from_columns(
+        time_hours=errors.t,
+        node_code=recode[errors.node_code],
+        node_names=[errors.node_names[code] for code in order],
+        expected=errors.expected,
+        actual=errors.actual,
+        virtual_address=errors.va,
+        physical_page=errors.pp,
+        temperature_c=errors.temp,
+        repeat_count=errors.rep,
+    )

@@ -410,13 +410,13 @@ class ExecutionOutcome:
     """One resilient execution: the result plus its honesty labels.
 
     ``degraded`` is True whenever the result is not a fresh answer: the
-    last-good result served stale after a live execution failed.  A
-    server must surface these flags on the wire verbatim.
+    last-good result served stale after a live execution failed, with
+    ``reason`` and ``stale_age_s`` set alongside it.  A server must
+    surface these labels on the wire verbatim.
     """
 
     result: object
     degraded: bool = False
-    stale: bool = False
     reason: str | None = None
     stale_age_s: float | None = None
 
@@ -482,7 +482,6 @@ class ResilientExecutor:
         return ExecutionOutcome(
             result=hit.result,
             degraded=True,
-            stale=True,
             reason=f"{type(exc).__name__}: {exc}",
             stale_age_s=hit.age_s,
         )

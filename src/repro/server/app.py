@@ -625,7 +625,6 @@ class TelemetryServer:
         if outcome.degraded:
             self._degraded_responses += 1
             payload["degraded_reason"] = outcome.reason
-        if outcome.stale:
             payload["stale_age_s"] = outcome.stale_age_s
         return payload
 

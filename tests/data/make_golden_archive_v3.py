@@ -21,9 +21,8 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
-from repro.logs.columnar import read_log_file
+from repro.logs.columnar import directory_log_files, node_stem, read_log_file
 from repro.logs.ingest import LiveArchive, compact_archive
-from repro.logs.store import directory_log_files, node_stem
 
 GOLDEN = Path(__file__).parent / "golden_logs"
 OUT = Path(__file__).parent / "golden_archive_v3"

@@ -1,8 +1,9 @@
 """Regenerate the golden log corpus under ``tests/data/golden_logs``.
 
-Run from the repository root::
+Run from the repository root (the record-object writer lives in
+``tests/logs/record_reference.py``)::
 
-    PYTHONPATH=src python tests/data/make_golden_corpus.py
+    PYTHONPATH=src:. python tests/data/make_golden_corpus.py
 
 The corpus is deterministic (fixed seed) and small by design: four nodes
 exercising every record kind, a gzipped node file, repeat-compressed
@@ -24,7 +25,8 @@ from repro.core.records import (
     ErrorRecord,
     StartRecord,
 )
-from repro.logs.store import LogArchive
+
+from tests.logs.record_reference import LogArchive
 
 OUT = Path(__file__).parent / "golden_logs"
 

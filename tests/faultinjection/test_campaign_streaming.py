@@ -26,7 +26,7 @@ from repro.faultinjection import campaign as campaign_module
 from repro.faultinjection import run_campaign
 from repro.faultinjection.campaign import CampaignMetrics
 from repro.faultinjection.config import quick_campaign_config
-from repro.logs.columnar import ColumnarArchive, RecordColumns
+from repro.logs.columnar import ColumnarArchive
 from repro.logs.ingest import LiveArchive
 
 
@@ -169,8 +169,10 @@ class TestStreamOwnership:
         existed, holds batches no ``campaign:`` entry claims."""
         from repro.core.records import ErrorRecord
 
+        from tests.logs.record_reference import from_records
+
         stream_dir = tmp_path / "ingested"
-        rows = RecordColumns.from_records(
+        rows = from_records(
             [ErrorRecord(1.0, "01-02", 4096, 7, 0xFF, 0xFE, 50.0, 1)]
         )
         LiveArchive.create(stream_dir).append_batch({"unit:01-02": rows})
@@ -216,7 +218,8 @@ class TestStreamingCli:
 
     def test_ingest_roundtrip_with_dedup(self, tmp_path, capsys):
         from repro.core.records import EndRecord, ErrorRecord, StartRecord
-        from repro.logs.store import LogArchive
+
+        from tests.logs.record_reference import LogArchive
 
         src = tmp_path / "text"
         archive = LogArchive()

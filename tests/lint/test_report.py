@@ -10,7 +10,6 @@ from pathlib import Path
 
 from repro.lint import (
     render_json,
-    render_json_v1,
     render_sarif,
     render_text,
     run_lint,
@@ -94,16 +93,6 @@ class TestJsonReporter:
         assert analysis["modules_cached"] == 0
         assert analysis["cold"] is True
         assert analysis["duration_s"] >= 0
-
-    def test_v1_payload_is_frozen(self, tmp_path):
-        root = _tree(tmp_path, {"bad.py": DIRTY, "ok.py": SUPPRESSED})
-        payload = json.loads(render_json_v1(run_lint([root])))
-        assert payload["version"] == 1
-        assert set(payload) == {
-            "version", "clean", "files_scanned", "findings",
-            "suppressed", "errors", "summary",
-        }
-        assert payload["summary"]["by_rule"] == {"DET001": 1}
 
     def test_clean_payload(self, tmp_path):
         root = _tree(tmp_path, {"ok.py": CLEAN})

@@ -1,8 +1,9 @@
 """Columnar ingestion tests: round-trips, equivalence, malformed inputs.
 
-The text path is the reference implementation; every test here pins the
-columnar fast path to it — bit-identical frames, bit-identical text
-renderings, and the same :class:`LogFormatError` family on bad input.
+The record-object path (``tests/logs/record_reference.py``) is the
+reference; every test here pins the columnar path to it — bit-identical
+frames, bit-identical text renderings, and the same
+:class:`LogFormatError` family on bad input.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from repro.logs.columnar import (
     MANIFEST_NAME,
     SHARD_COLUMNS,
     ColumnarArchive,
-    RecordColumns,
     parse_chunk,
     read_log_file,
     read_manifest,
 )
 from repro.logs.format import format_record
 from repro.logs.frame import ErrorFrame
-from repro.logs.store import LogArchive
+
+from .record_reference import LogArchive, columnar_of, from_records, to_records
 
 # -- strategies (mirror tests/logs/test_format.py) --------------------------
 
@@ -136,8 +137,8 @@ class TestRoundtripProperties:
     @settings(max_examples=60, deadline=None)
     @given(records=RECORD_BATCH)
     def test_records_to_columns_to_records_exact(self, records):
-        columns = RecordColumns.from_records(records)
-        assert columns.to_records() == list(records)
+        columns = from_records(records)
+        assert to_records(columns) == list(records)
 
     @settings(max_examples=60, deadline=None)
     @given(records=st.lists(error_records(), max_size=60))
@@ -149,7 +150,7 @@ class TestRoundtripProperties:
         the same float64.
         """
         archive = archive_of(records)
-        columnar = ColumnarArchive.from_log_archive(archive)
+        columnar = columnar_of(archive)
         assert_frames_identical(archive.error_frame(), columnar.error_frame())
 
     @settings(max_examples=30, deadline=None)
@@ -157,8 +158,8 @@ class TestRoundtripProperties:
     def test_binary_save_load_exact(self, tmp_path_factory, records):
         tmp_path = tmp_path_factory.mktemp("npz")
         archive = archive_of(records)
-        archive.to_columnar(tmp_path / "col")
-        loaded = LogArchive.from_columnar(tmp_path / "col")
+        columnar_of(archive).save(tmp_path / "col")
+        loaded = LogArchive.of(ColumnarArchive.load(tmp_path / "col"))
         assert loaded.nodes == archive.nodes
         for node in archive.nodes:
             assert loaded.records(node) == archive.records(node)
@@ -178,18 +179,18 @@ class TestBatchParser:
         ]
         lines = [format_record(r) + "\n" for r in records]
         columns = parse_chunk("".join(lines))
-        assert columns.to_records() == records
+        assert to_records(columns) == records
 
     def test_blank_lines_skipped(self):
         rec = AllocFailRecord(3.0, "01-02")
         columns = parse_chunk("\n" + format_record(rec) + "\n   \n")
-        assert columns.to_records() == [rec]
+        assert to_records(columns) == [rec]
 
     def test_reordered_fields_fall_back_to_reference_parser(self):
         # parse_line accepts any field order; the fast path must not
         # reject what the reference accepts.
         columns = parse_chunk("END|node=01-02|t=2.0|temp=na")
-        assert columns.to_records() == [EndRecord(2.0, "01-02", None)]
+        assert to_records(columns) == [EndRecord(2.0, "01-02", None)]
 
     def test_str_and_bytes_give_identical_columns(self, monkeypatch):
         """One chunk holding a bulk-sized ERROR run, lifecycle lines and a
@@ -224,7 +225,7 @@ class TestBatchParser:
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
         assert from_str.node_names == from_bytes.node_names == ["01-02"]
-        assert from_str.to_records() == [*records, EndRecord(4.0, "01-02", None)]
+        assert to_records(from_str) == [*records, EndRecord(4.0, "01-02", None)]
 
     def test_non_ascii_text_raises_unicode_error(self):
         line = "START|t=0.0|node=0\u00e9-01|mb=3072|temp=na\n"
@@ -236,14 +237,14 @@ class TestBatchParser:
     def test_unknown_record_type_raises_logformaterror(self):
         stray = SimpleNamespace(timestamp_hours=1.0, node="01-02")
         with pytest.raises(LogFormatError, match="unknown record type"):
-            RecordColumns.from_records([stray])
+            from_records([stray])
 
     def test_gzip_file(self, tmp_path):
         rec = ErrorRecord(1.0, "01-02", 0x30, 0x80, 0x0, 0x1, 20.0, 3)
         path = tmp_path / "01-02.log.gz"
         with gzip.open(path, "wt", encoding="ascii") as fh:
             fh.write(format_record(rec) + "\n")
-        assert read_log_file(path).to_records() == [rec]
+        assert to_records(read_log_file(path)) == [rec]
 
 
 class TestMalformedText:
@@ -288,25 +289,24 @@ class TestColumnarArchive:
 
     def test_counts_match_log_archive(self):
         archive = self.make()
-        columnar = ColumnarArchive.from_log_archive(archive)
+        columnar = columnar_of(archive)
         assert columnar.nodes == archive.nodes
         assert columnar.n_records() == archive.n_records()
         assert columnar.n_raw_error_lines() == archive.n_raw_error_lines()
-        assert list(columnar.all_records()) == list(archive.all_records())
-        assert list(columnar.error_records()) == list(archive.error_records())
-        assert list(columnar.error_records("01-02")) == list(
-            archive.error_records("01-02")
-        )
+        assert columnar.n_errors() == len(list(archive.error_records()))
+        back = LogArchive.of(columnar)
+        assert list(back.all_records()) == list(archive.all_records())
+        assert to_records(columnar.columns("01-02")) == archive.records("01-02")
 
     def test_error_frame_interning_order(self):
-        columnar = ColumnarArchive.from_log_archive(self.make())
+        columnar = columnar_of(self.make())
         frame = columnar.error_frame()
         # Sorted-node order, zero-error nodes never interned.
         assert frame.node_names == ["01-02", "02-04"]
 
     def test_unknown_node_is_empty(self):
-        columnar = ColumnarArchive.from_log_archive(self.make())
-        assert columnar.records("99-99") == []
+        columnar = columnar_of(self.make())
+        assert len(columnar.columns("99-99")) == 0
 
     def test_save_fsyncs_every_shard_before_the_manifest_commit(
         self, tmp_path, monkeypatch
@@ -326,7 +326,7 @@ class TestColumnarArchive:
 
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
-        manifest = ColumnarArchive.from_log_archive(self.make()).save(tmp_path)
+        manifest = columnar_of(self.make()).save(tmp_path)
         monkeypatch.undo()
 
         commit = events.index(("replace", MANIFEST_NAME))
@@ -351,7 +351,7 @@ class TestBinaryFormatErrors:
                 ErrorRecord(0.5, "02-04", 0x40, 0x81, 0x0, 0x1, 33.0, 1),
             ]
         )
-        ColumnarArchive.from_log_archive(archive).save(tmp_path)
+        columnar_of(archive).save(tmp_path)
         return tmp_path
 
     def test_missing_manifest(self, tmp_path):

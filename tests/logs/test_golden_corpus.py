@@ -3,9 +3,9 @@
 ``tests/data/golden_logs`` is a small frozen corpus (regenerate with
 ``tests/data/make_golden_corpus.py``) covering every record kind, a
 gzipped node file, repeat-compressed bursts, and a dominant faulty node.
-The headline stats below are frozen numbers: both the text reference
-path and the columnar fast path must reproduce them — and each other —
-exactly.
+The headline stats below are frozen numbers: both the record-object
+reference path (``record_reference.py``) and the columnar path must
+reproduce them — and each other — exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.extraction import extract
-from repro.logs.columnar import ColumnarArchive
-from repro.logs.store import LogArchive
+from repro.logs.columnar import ColumnarArchive, format_chunk
 
+from .record_reference import LogArchive, to_records
 from .test_columnar import assert_frames_identical
 
 GOLDEN = Path(__file__).parents[1] / "data" / "golden_logs"
@@ -87,7 +87,13 @@ class TestPathsAgree:
 
     def test_records_identical(self, text_archive, columnar_archive):
         for node in text_archive.nodes:
-            assert columnar_archive.records(node) == text_archive.records(node)
+            assert to_records(columnar_archive.columns(node)) == text_archive.records(node)
+
+    def test_text_rendering_identical(self, text_archive, columnar_archive, tmp_path):
+        text_archive.write_directory(tmp_path / "records")
+        for node in text_archive.nodes:
+            reference = (tmp_path / "records" / f"{node}.log").read_text(encoding="ascii")
+            assert format_chunk(columnar_archive.columns(node)) == reference
 
     def test_extraction_errors_identical(self, text_archive, columnar_archive):
         via_text = extract(text_archive.error_frame().sorted_by_time())

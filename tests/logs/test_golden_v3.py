@@ -25,8 +25,8 @@ from repro.logs.columnar import (
     upgrade_archive,
 )
 from repro.logs.ingest import LiveArchive
-from repro.logs.store import LogArchive
 
+from .record_reference import LogArchive, columnar_of
 from .test_columnar import assert_frames_identical
 
 GOLDEN_LOGS = Path(__file__).parents[1] / "data" / "golden_logs"
@@ -80,7 +80,7 @@ def strip_to_v2(path: Path) -> None:
 def per_node_dir(golden_text, tmp_path) -> Path:
     """A per-node-shard v3 save of the corpus (strippable to v1/v2)."""
     path = tmp_path / "per-node"
-    ColumnarArchive.from_log_archive(golden_text).save(path)
+    columnar_of(golden_text).save(path)
     return path
 
 
@@ -156,8 +156,7 @@ class TestUpgrades:
         manifest_bytes = (per_node_dir / MANIFEST_NAME).read_bytes()
         loaded = ColumnarArchive.load(per_node_dir)
         assert_frames_identical(loaded.error_frame(), golden_text.error_frame())
-        lazy = ColumnarArchive.load(per_node_dir, lazy=True)
-        assert lazy.n_records() == golden_text.n_records()
+        assert loaded.n_records() == golden_text.n_records()
         # Reading never rewrites: v1/v2 users opt into v3 via `repro
         # logs upgrade`, not by loading.
         assert (per_node_dir / MANIFEST_NAME).read_bytes() == manifest_bytes

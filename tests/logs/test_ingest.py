@@ -27,7 +27,8 @@ from repro.logs.ingest import (
     LiveArchive,
     compact_archive,
 )
-from repro.logs.store import LogArchive
+
+from .record_reference import LogArchive, from_records
 
 
 def node_records(node: str, n_errors: int = 4, t0: float = 0.0) -> list:
@@ -51,7 +52,7 @@ def node_records(node: str, n_errors: int = 4, t0: float = 0.0) -> list:
 
 
 def node_batch(node: str, n_errors: int = 4, t0: float = 0.0) -> RecordColumns:
-    return RecordColumns.from_records(node_records(node, n_errors, t0))
+    return from_records(node_records(node, n_errors, t0))
 
 
 def strip_to_v2(path) -> None:
@@ -170,7 +171,7 @@ class TestAppendBatch:
         records = node_records("01-01", n_errors=6)
         shuffled = [records[i] for i in (5, 0, 7, 3, 1, 6, 2, 4)]
         live = LiveArchive.create(tmp_path)
-        live.append_batch({"b0": RecordColumns.from_records(shuffled)})
+        live.append_batch({"b0": from_records(shuffled)})
         reference = LogArchive()
         reference.extend(records)
         reference.sort()

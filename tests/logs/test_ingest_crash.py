@@ -23,15 +23,15 @@ from pathlib import Path
 import pytest
 
 from repro import chaos
-from repro.logs.columnar import ColumnarArchive, RecordColumns, read_log_file
+from repro.logs.columnar import ColumnarArchive, read_log_file
 from repro.logs.ingest import (
     COMPACT_COMMIT_STEPS,
     INGEST_COMMIT_STEPS,
     LiveArchive,
     compact_archive,
 )
-from repro.logs.store import LogArchive
 
+from .record_reference import LogArchive, from_records
 from .test_ingest import node_records
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -90,7 +90,7 @@ class TestIngestCrash:
         arch = tmp_path / "arch"
         live = LiveArchive.create(arch)
         live.append_batch(
-            {"b0": RecordColumns.from_records(node_records("01-01"))}
+            {"b0": from_records(node_records("01-01"))}
         )
         before = rendering(arch)
         crash_log = write_log(node_records("01-02", t0=9.0), tmp_path / "batch")
@@ -123,7 +123,7 @@ class TestIngestCrash:
         # Either way the archive converges on the uninterrupted outcome.
         clean = tmp_path / "clean"
         ref = LiveArchive.create(clean)
-        ref.append_batch({"b0": RecordColumns.from_records(node_records("01-01"))})
+        ref.append_batch({"b0": from_records(node_records("01-01"))})
         ref.append_batch({"b-crash": read_log_file(crash_log)})
         assert rendering(arch) == rendering(clean)
 
@@ -134,12 +134,12 @@ class TestCompactionCrash:
         arch = tmp_path / "arch"
         live = LiveArchive.create(arch)
         live.append_batch(
-            {"b0": RecordColumns.from_records(node_records("01-01"))}
+            {"b0": from_records(node_records("01-01"))}
         )
         live.append_batch(
             {
-                "b1": RecordColumns.from_records(node_records("01-01", 3, 50.0)),
-                "b2": RecordColumns.from_records(node_records("01-02", 2, 3.0)),
+                "b1": from_records(node_records("01-01", 3, 50.0)),
+                "b2": from_records(node_records("01-02", 2, 3.0)),
             }
         )
         expected = rendering(arch)
@@ -176,7 +176,7 @@ class TestTornFiles:
     def test_torn_temp_segment_is_swept(self, tmp_path):
         live = LiveArchive.create(tmp_path)
         live.append_batch(
-            {"b0": RecordColumns.from_records(node_records("01-01"))}
+            {"b0": from_records(node_records("01-01"))}
         )
         (real,) = sorted(tmp_path.glob("*.npz"))
         torn = tmp_path / "seg-00000042-L0.npz.tmp"
@@ -191,7 +191,7 @@ class TestTornFiles:
     def test_torn_manifest_temp_never_shadows_the_manifest(self, tmp_path):
         live = LiveArchive.create(tmp_path)
         live.append_batch(
-            {"b0": RecordColumns.from_records(node_records("01-01"))}
+            {"b0": from_records(node_records("01-01"))}
         )
         fingerprint = live.fingerprint()
         stray = tmp_path / "tmpabc123.tmp"

@@ -20,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import QUERY_PRESETS
-from repro.logs.columnar import ColumnarArchive, RecordColumns
+from repro.logs.columnar import ColumnarArchive
 from repro.logs.ingest import LiveArchive, compact_archive
-from repro.logs.store import LogArchive
 from repro.query import ArchiveSource, Query, QueryEngine
 
+from .record_reference import LogArchive, from_records
 from .test_columnar import any_records, assert_frames_identical
 
 #: A campaign's worth of appends: each inner list is one
@@ -37,7 +37,7 @@ APPEND_STREAM = st.lists(
 def stream_appends(path, appends) -> LiveArchive:
     live = LiveArchive.create(path)
     for i, records in enumerate(appends):
-        live.append_batch({f"b{i}": RecordColumns.from_records(records)})
+        live.append_batch({f"b{i}": from_records(records)})
     return live
 
 
@@ -109,9 +109,6 @@ class TestStreamedEqualsBatch:
         assert rendering_of(compacted, tmp_path / "post") == expected
         assert_frames_identical(compacted.error_frame(), reference.error_frame())
 
-        lazy = ColumnarArchive.load(arch, lazy=True)
-        assert rendering_of(lazy, tmp_path / "lazy") == expected
-
     @settings(max_examples=25, deadline=None)
     @given(appends=APPEND_STREAM)
     def test_replay_of_every_batch_changes_nothing(
@@ -125,7 +122,7 @@ class TestStreamedEqualsBatch:
         files = sorted(p.name for p in arch.glob("*.npz"))
         for i, records in enumerate(appends):
             report = live.append_batch(
-                {f"b{i}": RecordColumns.from_records(records)}
+                {f"b{i}": from_records(records)}
             )
             assert report.committed == []
         assert live.generation == generation

@@ -1,9 +1,17 @@
-"""Per-node archive tests, including directory round-trips."""
+"""The reference record archive and the shared log-directory walk.
+
+:class:`~tests.logs.record_reference.LogArchive` is the record-object
+reader and writer the columnar path is checked against, so its own
+directory round trips are pinned here, together with
+:func:`repro.logs.columnar.directory_log_files`, which both readers use.
+"""
 
 import gzip
 
 from repro.core.records import EndRecord, ErrorRecord, StartRecord
-from repro.logs.store import LogArchive, directory_log_files
+from repro.logs.columnar import directory_log_files
+
+from .record_reference import LogArchive
 
 
 def make_archive():

@@ -1,5 +1,5 @@
-"""Format-v2 satellite tests: zone maps, upgrade migration, lazy loads,
-and the hardened ``repro logs inspect``."""
+"""Format-v2 satellite tests: zone maps, upgrade migration, and the
+hardened ``repro logs inspect``."""
 
 from __future__ import annotations
 
@@ -116,49 +116,6 @@ class TestUpgrade:
 
         with pytest.raises(ShardCorruptError):
             upgrade_archive(saved)
-
-
-class TestLazyLoad:
-    def test_counts_without_shard_io(self, saved, archive):
-        lazy = ColumnarArchive.load(saved, lazy=True)
-        assert lazy.nodes == archive.nodes
-        assert not any(lazy.is_loaded(n) for n in lazy.nodes)
-        assert lazy.n_records() == archive.n_records()
-        assert lazy.n_errors() == archive.n_errors()
-        assert lazy.n_raw_error_lines() == archive.n_raw_error_lines()
-        # manifest counts served all of the above: still nothing loaded
-        assert not any(lazy.is_loaded(n) for n in lazy.nodes)
-
-    def test_single_node_access_loads_one_shard(self, saved, archive):
-        lazy = ColumnarArchive.load(saved, lazy=True)
-        target = archive.nodes[2]
-        cols = lazy.columns(target)
-        assert np.array_equal(cols.t, archive.columns(target).t)
-        loaded = [n for n in lazy.nodes if lazy.is_loaded(n)]
-        assert loaded == [target]
-
-    def test_error_frame_materializes_everything(self, saved, archive):
-        lazy = ColumnarArchive.load(saved, lazy=True)
-        frame = lazy.error_frame()
-        reference = archive.error_frame()
-        assert np.array_equal(frame.time_hours, reference.time_hours)
-        assert all(lazy.is_loaded(n) for n in lazy.nodes)
-
-    def test_lazy_verifies_checksums_on_access(self, saved):
-        manifest = read_manifest(saved)
-        shard_file = saved / manifest["shards"][0]["file"]
-        payload = bytearray(shard_file.read_bytes())
-        payload[-1] ^= 0xFF
-        shard_file.write_bytes(bytes(payload))
-        lazy = ColumnarArchive.load(saved, lazy=True)
-        from repro.core.errors import ShardCorruptError
-
-        with pytest.raises(ShardCorruptError):
-            lazy.columns(manifest["shards"][0]["node"])
-
-    def test_lazy_rejects_skip_corrupt(self, saved):
-        with pytest.raises(ValueError):
-            ColumnarArchive.load(saved, lazy=True, skip_corrupt=True)
 
 
 class TestInspectCli:

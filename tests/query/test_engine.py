@@ -2,7 +2,7 @@
 
 The property tests are the core contract: for random predicate
 conjunctions, the vectorized engine must return exactly the rows a
-per-record Python loop over ``RecordColumns.to_records()`` keeps, and
+per-record Python loop over the reference ``to_records`` keeps, and
 pruning must never change a result (zone maps are an optimization, not
 a semantic).
 """
@@ -29,6 +29,7 @@ from repro.query import (
     QueryEngine,
 )
 
+from ..logs.record_reference import LogArchive
 from .conftest import WINDOW_HOURS, make_staggered_archive
 
 # ---------------------------------------------------------------------------
@@ -89,10 +90,11 @@ def _matches(pred: Predicate, row: dict) -> bool:
 def brute_force_rows(
     archive: ColumnarArchive, predicates: tuple[Predicate, ...]
 ) -> list[tuple]:
-    """ERROR rows surviving the conjunction, via to_records() + Python."""
+    """ERROR rows surviving the conjunction, via record objects + Python."""
+    records = LogArchive.of(archive)
     kept = []
     for node in archive.nodes:
-        for rec in archive.error_records(node):
+        for rec in records.error_records(node):
             row = _record_row(node, rec)
             if all(_matches(p, row) for p in predicates):
                 kept.append((row["node"], row["t"], row["va"], row["rep"]))
@@ -178,7 +180,7 @@ def test_engine_matches_brute_force(predicates):
     plan = _plan(predicates)
     engine = QueryEngine(MemorySource(ARCHIVE))
     result = engine.execute(plan, use_cache=False)
-    # error_records() already restricts to ERROR rows, so the brute force
+    # error_records() restricts to ERROR rows, so the brute force
     # applies only the random predicates on top of that.
     assert result_rows(result) == brute_force_rows(ARCHIVE, tuple(predicates))
 
@@ -196,10 +198,11 @@ def test_derived_column_matches_brute_force(column):
         return (node, t, None if value != value else value)  # NaN-aware
 
     got = sorted(map(key, *(result.column(c).tolist() for c in ("node", "t", column))))
+    records = LogArchive.of(ARCHIVE)
     expected = sorted(
         key(node, row["t"], row[column])
         for node in ARCHIVE.nodes
-        for row in (_record_row(node, rec) for rec in ARCHIVE.error_records(node))
+        for row in (_record_row(node, rec) for rec in records.error_records(node))
     )
     assert got == expected
 

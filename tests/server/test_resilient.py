@@ -206,9 +206,9 @@ class TestResilientExecutor:
         assert not outcome.degraded
         engine.fail = True
         degraded = executor.execute(PLAN)
-        assert degraded.degraded and degraded.stale
+        assert degraded.degraded
         assert degraded.result == "fresh-result"
-        assert degraded.stale_age_s is not None
+        assert degraded.stale_age_s is not None and degraded.stale_age_s >= 0
         assert "ConnectionResetError" in degraded.reason
         assert executor.stats.served_stale == 1
 

@@ -20,7 +20,7 @@ from repro.faultinjection.config import (
     paper_campaign_config,
     quick_campaign_config,
 )
-from repro.logs.format import format_record
+from repro.logs.columnar import format_chunk
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ def process_campaign():
 def _assert_archives_identical(a, b):
     assert a.archive.nodes == b.archive.nodes
     for node in a.archive.nodes:
-        lines_a = [format_record(r) for r in a.archive.records(node)]
-        lines_b = [format_record(r) for r in b.archive.records(node)]
+        lines_a = format_chunk(a.archive.columns(node))
+        lines_b = format_chunk(b.archive.columns(node))
         assert lines_a == lines_b, f"log divergence on node {node}"
 
 
@@ -91,9 +91,7 @@ class TestSeedSensitivity:
         results = [
             _simulate_node(_CampaignContext(config), name) for _ in range(2)
         ]
-        assert [format_record(r) for r in results[0].columns.to_records()] == [
-            format_record(r) for r in results[1].columns.to_records()
-        ]
+        assert format_chunk(results[0].columns) == format_chunk(results[1].columns)
         assert np.array_equal(results[0].track.starts, results[1].track.starts)
         assert len(results[0].columns) == len(results[1].columns)
 

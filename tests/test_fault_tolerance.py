@@ -34,7 +34,7 @@ from repro.core.errors import (
 )
 from repro.faultinjection import DegradedResult, run_campaign
 from repro.faultinjection.config import quick_campaign_config
-from repro.logs.columnar import read_manifest
+from repro.logs.columnar import format_chunk, read_manifest
 from repro.logs.format import format_record
 from repro.logs.ingest import LiveArchive
 from repro.parallel import RetryPolicy, UnitFailure, supervised_map
@@ -56,8 +56,8 @@ def _slow_square(x: int) -> int:
 def _assert_archives_identical(a, b):
     assert a.archive.nodes == b.archive.nodes
     for node in a.archive.nodes:
-        lines_a = [format_record(r) for r in a.archive.records(node)]
-        lines_b = [format_record(r) for r in b.archive.records(node)]
+        lines_a = format_chunk(a.archive.columns(node))
+        lines_b = format_chunk(b.archive.columns(node))
         assert lines_a == lines_b, f"log divergence on node {node}"
 
 
@@ -593,9 +593,9 @@ class TestCampaignFaultTolerance:
         survivors = set(quick_campaign.tracks) - {victim}
         assert set(result.tracks) == survivors
         for node in sorted(survivors)[:5]:
-            assert [format_record(r) for r in result.archive.records(node)] == [
-                format_record(r) for r in quick_campaign.archive.records(node)
-            ]
+            assert format_chunk(result.archive.columns(node)) == format_chunk(
+                quick_campaign.archive.columns(node)
+            )
 
     def test_lost_unit_without_retry_policy_raises(self, node_01_02_raises):
         with pytest.raises(SimulationError, match="01-02"):
@@ -806,12 +806,14 @@ class TestKillRecovery:
 @pytest.fixture()
 def tiny_archive(tmp_path):
     from repro.core.records import ErrorRecord
-    from repro.logs.columnar import ColumnarArchive, RecordColumns
+    from repro.logs.columnar import ColumnarArchive
+
+    from tests.logs.record_reference import from_records
 
     nodes = ["00-01", "01-01", "02-01"]
     archive = ColumnarArchive(
         {
-            node: RecordColumns.from_records(
+            node: from_records(
                 [
                     ErrorRecord(
                         timestamp_hours=1.0 + i,
@@ -911,7 +913,7 @@ class TestLogFollowerRotation:
         log.write_text(_error_line(1.0) + "\n")
         follower = LogFollower(tmp_path)
         assert len(follower.poll()) == 1
-        assert follower.poll() == []
+        assert len(follower.poll()) == 0
         with open(log, "a") as fh:
             fh.write(_error_line(2.0) + "\n")
         assert len(follower.poll()) == 1
@@ -923,7 +925,7 @@ class TestLogFollowerRotation:
         full = _error_line(1.0)
         log.write_text(full[:20])  # no newline yet
         follower = LogFollower(tmp_path)
-        assert follower.poll() == []
+        assert len(follower.poll()) == 0
         log.write_text(full + "\n")  # completed in place (same size class)
         assert len(follower.poll()) == 1
 
@@ -935,9 +937,8 @@ class TestLogFollowerRotation:
         follower = LogFollower(tmp_path)
         assert len(follower.poll()) == 5
         log.write_text(_error_line(9.0) + "\n")  # daemon restarted, fresh log
-        records = follower.poll()
-        assert len(records) == 1
-        assert records[0].timestamp_hours == 9.0
+        cols = follower.poll()
+        assert cols.t.tolist() == [9.0]
 
     def test_rotation_to_a_larger_file_is_detected_by_inode(self, tmp_path):
         """logrotate-style rename+recreate: the new file is *larger* than
@@ -951,9 +952,8 @@ class TestLogFollowerRotation:
         replacement = tmp_path / "incoming.tmp"
         replacement.write_text("".join(_error_line(2.0 + i) + "\n" for i in range(4)))
         os.replace(replacement, log)  # new inode, bigger than old offset
-        records = follower.poll()
-        assert len(records) == 4
-        assert [r.timestamp_hours for r in records] == [2.0, 3.0, 4.0, 5.0]
+        cols = follower.poll()
+        assert cols.t.tolist() == [2.0, 3.0, 4.0, 5.0]
 
     def test_vanished_file_is_skipped_then_reread_from_scratch(self, tmp_path):
         from repro.monitoring import LogFollower
@@ -963,6 +963,6 @@ class TestLogFollowerRotation:
         follower = LogFollower(tmp_path)
         assert len(follower.poll()) == 1
         log.unlink()
-        assert follower.poll() == []
+        assert len(follower.poll()) == 0
         log.write_text(_error_line(2.0) + "\n")
         assert len(follower.poll()) == 1

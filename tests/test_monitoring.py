@@ -17,6 +17,8 @@ from repro.monitoring import (
 )
 from repro.resilience.prediction import PredictorConfig, SpatioTemporalPredictor
 
+from .logs.record_reference import from_records
+
 
 def write_lines(path: Path, records):
     with open(path, "a", encoding="ascii") as fh:
@@ -41,7 +43,7 @@ class TestLogFollower:
         write_lines(log, [err(1.0)])
         follower = LogFollower(tmp_path)
         assert len(follower.poll()) == 1
-        assert follower.poll() == []  # nothing new
+        assert len(follower.poll()) == 0  # nothing new
         write_lines(log, [err(2.0), err(3.0)])
         assert len(follower.poll()) == 2
 
@@ -62,15 +64,26 @@ class TestLogFollower:
         follower = LogFollower(tmp_path)
         follower.poll()
         log.write_text(format_record(err(9.0)) + "\n", encoding="ascii")
-        records = follower.poll()
-        assert len(records) == 1
-        assert records[0].timestamp_hours == 9.0
+        cols = follower.poll()
+        assert cols.t.tolist() == [9.0]
 
     def test_multiple_files_sorted(self, tmp_path):
         write_lines(tmp_path / "05-05.log", [err(5.0, node="05-05")])
         write_lines(tmp_path / "06-06.log", [err(1.0, node="06-06")])
-        records = LogFollower(tmp_path).poll()
-        assert [r.node for r in records] == ["06-06", "05-05"]
+        cols = LogFollower(tmp_path).poll()
+        assert [cols.node_names[code] for code in cols.node_code] == ["06-06", "05-05"]
+        assert cols.t.tolist() == [1.0, 5.0]
+
+    def test_offsets_count_bytes(self, tmp_path):
+        """CRLF lines: an offset counted in decoded characters would fall
+        one byte behind per line and re-read the tail of the last one."""
+        log = tmp_path / "05-05.log"
+        log.write_bytes(b"".join(format_record(err(t)).encode() + b"\r\n" for t in (1, 2, 3)))
+        follower = LogFollower(tmp_path)
+        assert follower.poll().t.tolist() == [1.0, 2.0, 3.0]
+        with open(log, "ab") as fh:
+            fh.write(format_record(err(4.0)).encode() + b"\r\n")
+        assert follower.poll().t.tolist() == [4.0]
 
     def test_non_error_records_pass_through(self, tmp_path):
         write_lines(
@@ -83,7 +96,7 @@ class TestLogFollower:
 class TestOnlineMonitor:
     def test_burst_raises_advice(self):
         monitor = OnlineMonitor()
-        advice = monitor.ingest([err(1.0 + 0.1 * i, va=i) for i in range(6)])
+        advice = monitor.ingest(from_records([err(1.0 + 0.1 * i, va=i) for i in range(6)]))
         kinds = [a.kind for a in advice]
         assert "quarantine" in kinds
         assert "tighten-checkpoints" in kinds
@@ -91,18 +104,20 @@ class TestOnlineMonitor:
 
     def test_sparse_stream_silent(self):
         monitor = OnlineMonitor()
-        advice = monitor.ingest([err(100.0 * i) for i in range(5)])
+        advice = monitor.ingest(from_records([err(100.0 * i) for i in range(5)]))
         assert advice == []
 
     def test_alarm_suppresses_rebroadcast(self):
         monitor = OnlineMonitor()
-        first = monitor.ingest([err(1.0 + 0.1 * i, va=i) for i in range(6)])
-        second = monitor.ingest([err(2.0 + 0.1 * i, va=100 + i) for i in range(6)])
+        first = monitor.ingest(from_records([err(1.0 + 0.1 * i, va=i) for i in range(6)]))
+        second = monitor.ingest(
+            from_records([err(2.0 + 0.1 * i, va=100 + i) for i in range(6)])
+        )
         assert first and not second  # still inside the alarm horizon
 
     def test_state_counts(self):
         monitor = OnlineMonitor()
-        monitor.ingest([err(1.0), err(2.0, node="06-06")])
+        monitor.ingest(from_records([err(1.0), err(2.0, node="06-06")]))
         assert monitor.state.n_errors == 2
         assert monitor.state.errors_by_node == {"05-05": 1, "06-06": 1}
 
@@ -110,9 +125,9 @@ class TestOnlineMonitor:
         """Feeding records in two chunks gives the same alarms as one."""
         records = [err(1.0 + 0.05 * i, va=i) for i in range(12)]
         one = OnlineMonitor()
-        batch = one.ingest(records)
+        batch = one.ingest(from_records(records))
         two = OnlineMonitor()
-        split = two.ingest(records[:5]) + two.ingest(records[5:])
+        split = two.ingest(from_records(records[:5])) + two.ingest(from_records(records[5:]))
         assert [a.node for a in batch] == [a.node for a in split]
 
 
@@ -152,10 +167,12 @@ class TestPredictorParity:
         def alarms(advice):
             return [(a.node, a.time_hours) for a in advice if a.kind == "quarantine"]
 
-        whole = OnlineMonitor(config).ingest(records)
+        whole = OnlineMonitor(config).ingest(from_records(records))
         chunked = OnlineMonitor(config)
         half = len(records) // 2
-        split = chunked.ingest(records[:half]) + chunked.ingest(records[half:])
+        split = chunked.ingest(from_records(records[:half])) + chunked.ingest(
+            from_records(records[half:])
+        )
         assert alarms(whole) == replayed
         assert alarms(split) == replayed
 
