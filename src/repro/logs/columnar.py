@@ -9,7 +9,9 @@ time and memory.  Records therefore live as columns from text to text:
   to round-trip the text format bit for bit;
 * one byte-level **text parser** (:func:`parse_chunk`) that turns
   ``<node>.log[.gz]`` text directly into columns — runs of ERROR lines
-  are validated and converted column-wise straight from the byte buffer;
+  and runs of START/END/ALLOC_FAIL lines are validated and converted
+  column-wise straight from the byte buffer, each kind through its
+  field table (:data:`_FIELD_LAYOUTS`);
 * its inverse, the **text writer** (:func:`format_chunk`), one ``%``
   format per run of same-kind rows;
 * :class:`ColumnarArchive`, the per-node archive, with a **versioned
@@ -17,9 +19,11 @@ time and memory.  Records therefore live as columns from text to text:
   ``manifest.json`` carrying the format version, record counts, and a
   SHA-256 checksum per shard.
 
-No record object is built on either text path.  Any line the parser's
-bulk path cannot take falls back to :func:`~repro.logs.format.parse_line`,
-so malformed input fails with the line parser's :class:`LogFormatError`.
+No record object is built on either text path.  A run the parser's
+bulk path cannot take goes line by line, falling back to
+:func:`~repro.logs.format.parse_line` for any line the per-line path
+cannot read, so malformed input fails with the line parser's
+:class:`LogFormatError`.
 The record-object reader and writer survive under ``tests/`` as the
 differential reference both directions are checked against.
 """
@@ -186,8 +190,9 @@ class RecordColumns:
 
     # -- views -------------------------------------------------------------
 
-    def take(self, order: np.ndarray) -> "RecordColumns":
-        """Row-gather: the columns reindexed by ``order`` (no copy of names)."""
+    def take(self, order: np.ndarray | slice) -> "RecordColumns":
+        """Row-gather: the columns reindexed by ``order``, an index array
+        or a ``slice`` (which gives views); the names list is copied."""
         return RecordColumns(
             **{name: getattr(self, name)[order] for name in SHARD_COLUMNS},
             node_code=self.node_code[order],
@@ -273,7 +278,7 @@ class _Staging:
         self.rep.append(0)
 
     def add_block(self, arrays: dict[str, np.ndarray]) -> None:
-        """Append a pre-converted column block (the bulk ERROR-run path).
+        """Append a pre-converted column block (the bulk-run path).
 
         Scalar rows staged so far are flushed first so record order is
         preserved when blocks and scalars interleave.
@@ -371,8 +376,8 @@ class _Staging:
 # ---------------------------------------------------------------------------
 
 
-#: Minimum consecutive ERROR lines worth the fixed cost of a bulk parse.
-_ERROR_RUN_MIN = 32
+#: Minimum lines of one run worth the fixed cost of a bulk parse.
+_RUN_MIN = 32
 
 #: Bytes of text per chunk when :func:`read_log_file` streams a file.
 _CHUNK_BYTES = 1 << 24
@@ -382,39 +387,6 @@ _CHUNK_BYTES = 1 << 24
 #: the per-line path and Python's arbitrary-precision ``int``).
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _POW16 = 16 ** np.arange(15, dtype=np.int64)
-
-#: (field index, expected prefix) for the nine positions of an ERROR line.
-_ERROR_FIELD_PREFIXES = (
-    (0, b"t="),
-    (1, b"node="),
-    (2, b"va=0x"),
-    (3, b"pp=0x"),
-    (4, b"exp=0x"),
-    (5, b"act=0x"),
-    (6, b"temp="),
-    (7, b"rep="),
-)
-
-_LINE_HEAD = np.frombuffer(b"ERROR|", dtype=np.uint8)
-_FIELD_PREFIX_ARRAYS = tuple(
-    (col, np.frombuffer(prefix, dtype=np.uint8))
-    for col, prefix in _ERROR_FIELD_PREFIXES
-)
-
-#: Flattened (pipe column, byte offset past the pipe, expected byte)
-#: triples for all eight field prefixes, so one fancy gather validates
-#: every prefix of every line at once.
-_PREFIX_COL = np.concatenate(
-    [np.full(p.size, col, dtype=np.int64) for col, p in _FIELD_PREFIX_ARRAYS]
-)
-_PREFIX_OFFSET = np.concatenate(
-    [1 + np.arange(p.size) for _, p in _FIELD_PREFIX_ARRAYS]
-)
-_PREFIX_EXPECT = np.concatenate([p for _, p in _FIELD_PREFIX_ARRAYS])
-
-#: Digit offsets of the ``exp=0x%08x|act=0x%08x`` block relative to the
-#: ``exp`` pipe (valid once the fixed 15-byte field widths are checked).
-_EXP_ACT_OFFSETS = np.concatenate([7 + np.arange(8), 22 + np.arange(8)])
 _POW16_8 = 16 ** np.arange(7, -1, -1, dtype=np.int64)
 
 #: byte -> digit value (-1 for non-digits); lowercase hex only, matching
@@ -424,9 +396,14 @@ _DEC_VALUE[ord("0") : ord("9") + 1] = np.arange(10)
 _HEX_VALUE = _DEC_VALUE.copy()
 _HEX_VALUE[ord("a") : ord("f") + 1] = np.arange(10, 16)
 
+#: The ASCII bytes ``str.strip`` removes; ``parse_line`` strips each line.
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
 #: Slack bytes appended after the encoded text so windowed gathers near
 #: the end of the buffer never need index clipping.  Must exceed the
-#: widest gather span (rep payloads, 18 digits) plus any prefix length.
+#: widest gather span (rep payloads, 18 digits) plus any prefix length;
+#: timestamp and node-name windows are capped at it.
 _PAD = 32
 
 
@@ -450,6 +427,19 @@ def _encode_padded(chunk: str | bytes) -> tuple[np.ndarray, np.ndarray, bytes]:
     return buf, np.flatnonzero(buf == ord("\n")), blob
 
 
+def _windows(buf: np.ndarray, at: np.ndarray, span: int) -> np.ndarray:
+    """The ``span`` bytes at each position of ``at``, one row each.
+
+    Rows of an overlapping stride-1 view of the buffer, so the gather
+    builds no (rows x span) index array.  ``buf`` must carry ``_PAD``
+    slack bytes past every window (see :func:`_encode_padded`).
+    """
+    view = np.ndarray(
+        (buf.shape[0] - span + 1, span), dtype=np.uint8, buffer=buf, strides=(1, 1)
+    )
+    return view[at]
+
+
 def _uint_column(
     buf: np.ndarray, start: np.ndarray, end: np.ndarray, base: int, max_width: int
 ) -> np.ndarray | None:
@@ -469,14 +459,25 @@ def _uint_column(
     # serves every row regardless of its width.  (Payload starts are far
     # enough into each line that ``end - span`` never goes negative for
     # input that passed the prefix checks.)
-    idx = end[:, None] + np.arange(-span, 0)
-    mask = idx >= start[:, None]
+    mask = np.arange(span) >= (span - width)[:, None]
     table = _HEX_VALUE if base == 16 else _DEC_VALUE
-    v = table[buf[idx]] * mask
+    v = table[_windows(buf, end - span, span)] * mask
     if (v < 0).any():
         return None
     pow_vec = (_POW16 if base == 16 else _POW10)[span - 1 :: -1]
     return (v * pow_vec).sum(axis=1)
+
+
+def _word_column(
+    buf: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> np.ndarray | None:
+    """Bulk-parse fixed-width ``%08x`` words: one gather, no masking."""
+    if ((end - start) != 8).any():
+        return None
+    v = _HEX_VALUE[_windows(buf, start, 8)]
+    if (v < 0).any():
+        return None
+    return (v * _POW16_8).sum(axis=1)
 
 
 def _temp_column(
@@ -501,16 +502,20 @@ def _temp_column(
     ns = start[numeric]
     ne = end[numeric]
     negative = buf[ns] == ord("-")
-    ns = ns + negative
-    if ((ne - ns) < 4).any() or (buf[ne - 3] != ord(".")).any():
+    # Up to 15 integral digits, the point, two decimals: one right-aligned
+    # gather with the point's column zeroed and skipped by the place
+    # values, so every row converts at once whatever its width.
+    width = ne - ns - negative
+    if width.min() < 4 or width.max() > 18 or (buf[ne - 3] != ord(".")).any():
         return None
-    integral = _uint_column(buf, ns, ne - 3, 10, 15)
-    if integral is None:
+    span = int(width.max())
+    v = _DEC_VALUE[_windows(buf, ne - span, span)]
+    v[:, span - 3] = 0
+    v = v * (np.arange(span) >= (span - width)[:, None])
+    if (v < 0).any():
         return None
-    cents_frac = _uint_column(buf, ne - 2, ne, 10, 2)
-    if cents_frac is None:
-        return None
-    cents = integral * 100 + cents_frac
+    place = np.concatenate([_POW10[span - 2 : 1 : -1], [0, 10, 1]])
+    cents = (v * place).sum(axis=1)
     if int(cents.max()) >= 2**53:
         return None  # not exactly representable; let float() decide
     values = cents.astype(np.float64) / 100.0
@@ -518,124 +523,242 @@ def _temp_column(
     return out
 
 
-def _error_columns_core(
+def _float_column(
+    buf: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> np.ndarray | None:
+    """Bulk-parse timestamps with one C ``strtod`` over the column.
+
+    Space-padded fixed-width bytes let numpy convert the whole column
+    (correctly rounded, the result ``float()`` gives) without building a
+    Python string.  A NUL byte, which the fixed-width view would drop,
+    or a payload wider than the buffer's slack (and than any ``repr`` of
+    a float) returns None.
+    """
+    width = end - start
+    if width.min() < 1 or width.max() > _PAD:
+        return None
+    span = int(width.max())
+    inside = np.arange(span) < width[:, None]
+    text = np.where(inside, _windows(buf, start, span), np.uint8(32))
+    if not text.all():
+        return None
+    try:
+        return text.view(f"S{span}").ravel().astype(np.float64)
+    except (ValueError, UnicodeDecodeError):
+        return None
+
+
+def _node_codes(
+    buf: np.ndarray, blob: bytes, start: np.ndarray, end: np.ndarray
+) -> tuple[list[str], np.ndarray] | None:
+    """Intern ``node=`` payloads: names in first-appearance order, codes.
+
+    One ``np.unique`` over a fixed-width bytes view, padded with ``|``
+    (which no payload holds), so one run may mix nodes.  An empty or
+    non-ASCII name, or one wider than the buffer's slack, returns None.
+    """
+    width = end - start
+    if width.min() < 1 or width.max() > _PAD:
+        return None
+    span = int(width.max())
+    inside = np.arange(span) < width[:, None]
+    keys = np.where(inside, _windows(buf, start, span), np.uint8(ord("|")))
+    keys = keys.view(f"S{span}").ravel()
+    if (keys == keys[0]).all():
+        first = np.zeros(1, dtype=np.int64)
+        codes = np.zeros(keys.shape[0], dtype=np.int32)
+    else:
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(order.shape[0], dtype=np.int32)
+        rank[order] = np.arange(order.shape[0], dtype=np.int32)
+        first = first[order]
+        codes = rank[inverse]
+    try:
+        names = [
+            blob[start[i] : end[i]].decode("ascii")
+            # repro: noqa[NPY002]: one name per distinct node, not per line
+            for i in first.tolist()
+        ]
+    except UnicodeDecodeError:
+        return None
+    return names, codes
+
+
+#: Kind code -> (line head, fields in line order as ``(prefix, column)``):
+#: the grammar of :data:`_LINE_LAYOUTS`, as the bulk parser reads it.
+_FIELD_LAYOUTS = {
+    KIND_START: (
+        b"START|",
+        ((b"t=", "t"), (b"node=", "node"), (b"mb=", "mb"), (b"temp=", "temp")),
+    ),
+    KIND_ERROR: (
+        b"ERROR|",
+        (
+            (b"t=", "t"), (b"node=", "node"), (b"va=0x", "va"), (b"pp=0x", "pp"),
+            (b"exp=0x", "expected"), (b"act=0x", "actual"), (b"temp=", "temp"),
+            (b"rep=", "rep"),
+        ),
+    ),
+    KIND_END: (b"END|", ((b"t=", "t"), (b"node=", "node"), (b"temp=", "temp"))),
+    KIND_ALLOC_FAIL: (b"ALLOC_FAIL|", ((b"t=", "t"), (b"node=", "node"))),
+}
+
+#: Column -> bulk converter of its payloads (``node`` is interned apart).
+_FIELD_PARSERS = {
+    "t": _float_column,
+    "temp": _temp_column,
+    "mb": lambda buf, start, end: _uint_column(buf, start, end, 10, 18),
+    "rep": lambda buf, start, end: _uint_column(buf, start, end, 10, 18),
+    "va": lambda buf, start, end: _uint_column(buf, start, end, 16, 14),
+    "pp": lambda buf, start, end: _uint_column(buf, start, end, 16, 14),
+    "expected": _word_column,
+    "actual": _word_column,
+}
+
+
+#: Kind code -> each field's prefix, as the bytes a line must hold.
+_PREFIX_BYTES = {
+    kind: tuple(np.frombuffer(prefix, dtype=np.uint8) for prefix, _ in fields)
+    for kind, (_, fields) in _FIELD_LAYOUTS.items()
+}
+#: Kind code -> pipes per line (one before each field).
+_N_PIPES = np.array([len(_FIELD_LAYOUTS[kind][1]) for kind in range(4)], dtype=np.int64)
+#: Kind code -> (mask, value) of its head's first 8 bytes as a
+#: little-endian integer, and the rest of the head.
+_HEAD_KEYS = {
+    kind: (
+        np.uint64((1 << 8 * min(len(head), 8)) - 1),
+        np.uint64(int.from_bytes(head[:8], "little")),
+        np.frombuffer(head[8:], dtype=np.uint8),
+    )
+    for kind, (head, _) in _FIELD_LAYOUTS.items()
+}
+
+
+def _line_kinds(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Kind code of each line by its head (``ERROR|`` ...), -1 if none.
+
+    Each line's first 8 bytes are compared as one little-endian integer;
+    only the few lines whose head is longer (``ALLOC_FAIL|``) gather the
+    rest.
+    """
+    first8 = _windows(buf, starts, 8).view("<u8").ravel()
+    kinds = np.full(starts.shape[0], -1, dtype=np.int8)
+    for kind, (mask, value, tail) in _HEAD_KEYS.items():
+        hit = (first8 & mask) == value
+        if tail.shape[0]:
+            rows = np.flatnonzero(hit)
+            tail_ok = (_windows(buf, starts[rows] + 8, tail.shape[0]) == tail).all(axis=1)
+            hit[rows[~tail_ok]] = False
+        kinds[hit] = kind
+    return kinds
+
+
+def _bulk_columns(
     buf: np.ndarray,
     blob: bytes,
     starts: np.ndarray,
-    newlines: np.ndarray,
-    grid: np.ndarray,
-) -> tuple[dict, str] | None:
-    """Columnar parse of lines whose pipe/newline positions are known.
+    ends: np.ndarray,
+    kinds: np.ndarray,
+    pipes: np.ndarray,
+) -> tuple[dict, list[str], np.ndarray] | None:
+    """Columnar parse of one run of lines whose kinds are known by head.
 
-    ``starts``/``newlines`` bound each line in ``buf`` (a padded ASCII
-    buffer over ``blob``, see :func:`_encode_padded`), and every line is
-    known to start with ``ERROR|``; ``grid`` holds the 8 candidate pipe
-    positions per line.  Every field prefix is validated positionally
-    and every numeric payload converts through a strict digit check,
-    so the lines are accepted only if each is exactly what
-    :func:`format_record` writes (single node, canonical layouts,
-    ``expected != actual``, ``rep >= 1``).  Anything else returns None
-    and the caller takes the per-line path, preserving the reference
-    parser's accept/reject behaviour.  Only the timestamp needs real
-    ``strtod``; it is the one column parsed from string slices.
+    ``starts``/``ends`` bound each line in ``buf`` (a padded ASCII buffer
+    over ``blob``, see :func:`_encode_padded`), ``kinds`` is each line's
+    kind code and ``pipes`` every pipe position of the buffer.  Each
+    kind's lines are read through its :data:`_FIELD_LAYOUTS` entry:
+    every field prefix is checked by position and every payload goes
+    through its column's strict converter, so the run is accepted only
+    if each line is exactly what :func:`format_record` writes
+    (canonical layouts, ``expected != actual``, ``rep >= 1``).  Anything
+    else returns None and the caller takes the per-line path, which
+    keeps the reference parser's accept/reject behaviour.  Returns the
+    columns, the run's node names in first-appearance order, and each
+    row's index into them.
     """
     n = int(starts.shape[0])
-    # Each row of `grid` must fall inside its own line for the reshape to
-    # mean "the 8 separators of line i".
-    if not ((grid[:, 0] >= starts).all() and (grid[:, 7] < newlines).all()):
+    n_pipes = _N_PIPES[kinds]
+    p0 = int(np.searchsorted(pipes, starts[0]))
+    total = int(n_pipes.sum())
+    # Lines are disjoint and pipes sorted, so if the run holds exactly
+    # the pipes its kinds need and each line's share lies inside the
+    # line, every line holds exactly its own share.
+    if int(np.searchsorted(pipes, ends[-1])) - p0 != total:
         return None
-    if not (buf[grid[:, _PREFIX_COL] + _PREFIX_OFFSET] == _PREFIX_EXPECT).all():
-        return None
-    # Single-node check (one log file holds one node); mixed-node input
-    # takes the per-line path.
-    node_start = grid[:, 1] + 6
-    node_end = grid[:, 2]
-    node_width = node_end - node_start
-    if node_width[0] < 1 or (node_width != node_width[0]).any():
-        return None
-    node_bytes = buf[node_start[:, None] + np.arange(int(node_width[0]))]
-    if (node_bytes != node_bytes[0]).any():
-        return None
-    try:
-        node = blob[int(node_start[0]) : int(node_end[0])].decode("ascii")
-    except UnicodeDecodeError:
-        return None
-    va = _uint_column(buf, grid[:, 2] + 6, grid[:, 3], 16, 14)
-    if va is None:
-        return None
-    pp = _uint_column(buf, grid[:, 3] + 6, grid[:, 4], 16, 14)
-    if pp is None:
-        return None
-    if ((grid[:, 5] - grid[:, 4]) != 15).any() or ((grid[:, 6] - grid[:, 5]) != 15).any():
-        return None  # exp/act are fixed-width %08x
-    # One gather covers both fixed-width words; the shared width means a
-    # single constant place vector and no per-row masking.
-    ea = _HEX_VALUE[buf[grid[:, 4][:, None] + _EXP_ACT_OFFSETS]]
-    if (ea < 0).any():
-        return None
-    expected = (ea[:, :8] * _POW16_8).sum(axis=1)
-    actual = (ea[:, 8:] * _POW16_8).sum(axis=1)
-    rep = _uint_column(buf, grid[:, 7] + 5, newlines, 10, 18)
-    if rep is None:
-        return None
-    # Mirror ErrorRecord.__post_init__ so accept/reject matches the
-    # reference parser.
-    if (expected == actual).any() or (rep < 1).any():
-        return None
-    temp = _temp_column(buf, grid[:, 6] + 6, grid[:, 7])
-    if temp is None:
-        return None
-    t_start = grid[:, 0] + 3
-    t_end = grid[:, 1]
-    t_width = t_end - t_start
-    if t_width.min() < 1:
-        return None
-    t_span = int(t_width.max())
-    try:
-        if t_span <= 32:
-            # Space-padded fixed-width bytes let numpy run its C strtod
-            # (correctly rounded, same result as float()) over the whole
-            # column without materializing Python strings.
-            idx = t_start[:, None] + np.arange(t_span)
-            t_bytes = np.where(idx < t_end[:, None], buf[idx], np.uint8(32))
-            t = t_bytes.view(f"S{t_span}").ravel().astype(np.float64)
-        else:
-            t = np.asarray(
-                [
-                    blob[a:b].decode("ascii")
-                    # repro: noqa[NPY002]: slow path for over-wide timestamps; bounds only
-                    for a, b in zip(t_start.tolist(), t_end.tolist())
-                ],
-                dtype=np.float64,
-            )
-    except (ValueError, UnicodeDecodeError):
-        return None
+    if _IS_SPACE[buf[ends - 1]].any():
+        return None  # parse_line strips the line; the per-line path does too
+    present = np.flatnonzero(np.bincount(kinds, minlength=4))
+    single = present.shape[0] == 1
+    # A field a kind lacks reads as zero, or NaN for ``temp``.
     columns = {
-        "kind": np.full(n, KIND_ERROR, dtype=np.uint8),
-        "t": t,
-        "temp": temp,
-        "mb": np.zeros(n, dtype=np.int64),
-        "va": va,
-        "pp": pp,
-        "expected": expected.astype(np.uint32),
-        "actual": actual.astype(np.uint32),
-        "rep": rep,
+        column: np.full(n, np.nan if column == "temp" else 0, dtype=dtype)
+        for column, dtype in SHARD_COLUMNS.items()
     }
-    return columns, node
+    columns["kind"] = kinds.astype(np.uint8)
+    node_start = np.empty(n, dtype=np.int64)
+    node_end = np.empty(n, dtype=np.int64)
+    if not single:
+        first = p0 + np.cumsum(n_pipes) - n_pipes  # each line's first pipe
+    for kind in present:
+        fields = _FIELD_LAYOUTS[kind][1]
+        width = len(fields)
+        if single:
+            rows = slice(None)
+            grid = pipes[p0 : p0 + total].reshape(n, width)
+        else:
+            rows = np.flatnonzero(kinds == kind)
+            grid = pipes[first[rows][:, None] + np.arange(width)]
+        line_end = ends[rows]
+        if not ((grid[:, 0] >= starts[rows]).all() and (grid[:, -1] < line_end).all()):
+            return None
+        for f, prefix in enumerate(_PREFIX_BYTES[kind]):
+            if not (_windows(buf, grid[:, f] + 1, prefix.shape[0]) == prefix).all():
+                return None
+        values = {}
+        for f, (prefix, column) in enumerate(fields):
+            start = grid[:, f] + 1 + len(prefix)
+            end = grid[:, f + 1] if f + 1 < width else line_end
+            if column == "node":
+                node_start[rows], node_end[rows] = start, end
+                continue
+            values[column] = _FIELD_PARSERS[column](buf, start, end)
+            if values[column] is None:
+                return None
+        # Mirror ErrorRecord.__post_init__ so accept/reject matches the
+        # reference parser.
+        if kind == KIND_ERROR and (
+            (values["expected"] == values["actual"]).any() or (values["rep"] < 1).any()
+        ):
+            return None
+        for column, value in values.items():
+            if single:
+                columns[column] = value.astype(SHARD_COLUMNS[column], copy=False)
+            else:
+                columns[column][rows] = value
+    nodes = _node_codes(buf, blob, node_start, node_end)
+    if nodes is None:
+        return None
+    return columns, *nodes
 
 
-def _append_error_block(staging: _Staging, columns: dict, node: str) -> None:
-    code = staging.intern(node)
-    columns["node_code"] = np.full(
-        int(columns["kind"].shape[0]), code, dtype=np.int32
-    )
+def _append_block(
+    staging: _Staging, columns: dict, names: list[str], codes: np.ndarray
+) -> None:
+    remap = np.array([staging.intern(name) for name in names], dtype=np.int32)
+    columns["node_code"] = remap[codes]
     staging.add_block(columns)
 
 
 def _parse_one(staging: _Staging, raw: str) -> None:
-    """Per-line fast path with reference-parser fallback (order preserved)."""
-    line = raw.rstrip("\n")
-    if not line or not line.strip():
+    """Per-line fast path with reference-parser fallback (order preserved).
+
+    The line is stripped first, as :func:`~repro.logs.format.parse_line`
+    strips it, so a CRLF line reads like its LF form.
+    """
+    line = raw.strip()
+    if not line:
         return
     parts = line.split("|")
     try:
@@ -725,15 +848,17 @@ def parse_chunk(chunk: str | bytes) -> RecordColumns:
     """Parse a newline-separated blob of log text into columns.
 
     The blob is parsed in place at byte level, with no line splitting.
-    The buffer is segmented once into maximal runs of ``ERROR|``-prefixed
-    lines.  A run of at least ``_ERROR_RUN_MIN`` lines is bulk-parsed by
-    :func:`_error_columns_core` straight from the shared pipe/newline
-    position arrays.  Everything else (START/END/ALLOC_FAIL lines, short
-    runs, anything non-canonical) is sliced out and handed to
-    :func:`_parse_one` line by line, which falls back to
-    :func:`~repro.logs.format.parse_line` for any line it cannot take,
-    so malformed input raises the reference parser's
-    :class:`LogFormatError`.  Blank lines are skipped.
+    Each line's kind is read from its head, and the buffer is segmented
+    once into maximal runs of ERROR lines and of START/END/ALLOC_FAIL
+    lines (which may mix kinds and nodes).  A run of at least
+    ``_RUN_MIN`` lines is bulk-parsed by :func:`_bulk_columns` straight
+    from the shared pipe/newline position arrays.  Everything else
+    (shorter runs, lines of no known kind, any run the bulk parser
+    rejects) is sliced out and handed to :func:`_parse_one` line by
+    line, which falls back to :func:`~repro.logs.format.parse_line` for
+    any line it cannot take, so malformed input raises the reference
+    parser's :class:`LogFormatError`.  Node codes follow each name's
+    first appearance across both paths.  Blank lines are skipped.
 
     Log text is ASCII: a non-ASCII ``str`` raises
     :class:`UnicodeEncodeError`, and a non-ASCII byte in ``bytes`` input
@@ -746,28 +871,21 @@ def parse_chunk(chunk: str | bytes) -> RecordColumns:
         starts = np.empty(n, dtype=np.int64)
         starts[0] = 0
         starts[1:] = newlines[:-1] + 1
-        is_err = (buf[starts[:, None] + np.arange(6)] == _LINE_HEAD).all(axis=1)
+        kinds = _line_kinds(buf, starts)
+        # Run classes: 1 for ERROR, 0 for the other kinds, -1 for none.
+        run_class = (kinds == KIND_ERROR).astype(np.int8) - (kinds < 0)
         pipes = np.flatnonzero(buf == ord("|"))
-        edges = np.flatnonzero(is_err[1:] != is_err[:-1]) + 1
+        edges = np.flatnonzero(run_class[1:] != run_class[:-1]) + 1
         # repro: noqa[NPY002]: run boundaries only — O(runs), not O(lines)
         bounds = [0, *edges.tolist(), n]
         for lo, hi in zip(bounds, bounds[1:]):
-            if is_err[lo] and hi - lo >= _ERROR_RUN_MIN:
-                seg_starts = starts[lo:hi]
-                seg_ends = newlines[lo:hi]
-                p0 = int(np.searchsorted(pipes, seg_starts[0]))
-                p1 = int(np.searchsorted(pipes, seg_ends[-1]))
-                if p1 - p0 == 8 * (hi - lo):
-                    bulk = _error_columns_core(
-                        buf,
-                        blob,
-                        seg_starts,
-                        seg_ends,
-                        pipes[p0:p1].reshape(hi - lo, 8),
-                    )
-                    if bulk is not None:
-                        _append_error_block(staging, *bulk)
-                        continue
+            if run_class[lo] >= 0 and hi - lo >= _RUN_MIN:
+                bulk = _bulk_columns(
+                    buf, blob, starts[lo:hi], newlines[lo:hi], kinds[lo:hi], pipes
+                )
+                if bulk is not None:
+                    _append_block(staging, *bulk)
+                    continue
             # repro: noqa[NPY002]: slow-path fallback — these lines re-parse one by one anyway
             for a, b in zip(starts[lo:hi].tolist(), newlines[lo:hi].tolist()):
                 # Strict decode: a non-ASCII byte raises UnicodeDecodeError

@@ -96,9 +96,29 @@ def _segment_filename(seq: int, level: int) -> str:
     return f"seg-{seq:08d}-L{level}.npz"
 
 
+def _group_by_node(cols: RecordColumns) -> tuple[RecordColumns, list[str], np.ndarray]:
+    """Rows grouped by node in name order, each node in canonical order.
+
+    One :func:`canonical_sort_order` keyed on each row's node rank and
+    one ``take``: rows that tie on ``(t, kind)`` keep their input order,
+    as a stable sort of each node on its own would keep them.  Returns
+    the grouped columns, the sorted node names and each name's row
+    count (a name without rows counts 0).
+    """
+    by_name = sorted(range(len(cols.node_names)), key=cols.node_names.__getitem__)
+    rank = np.empty(len(by_name), dtype=np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    node_rank = rank[cols.node_code]
+    grouped = cols.take(canonical_sort_order(cols.t, cols.kind, group=node_rank))
+    counts = np.bincount(node_rank, minlength=len(by_name))
+    return grouped, [cols.node_names[code] for code in by_name], counts
+
+
 def _publish_segment(
     directory: Path,
-    per_node: dict[str, RecordColumns],
+    cols: RecordColumns,
+    names: list[str],
+    counts: np.ndarray,
     *,
     seq: int,
     level: int,
@@ -107,16 +127,28 @@ def _publish_segment(
 ) -> dict:
     """Durably write one segment file; return its manifest entry.
 
-    ``per_node`` maps node name -> that node's rows *already in
-    canonical order*; rows are laid out grouped by sorted node name, so
-    a single-part node read back from this segment is in final order
-    without re-sorting.  The manifest entry is returned but NOT yet
+    ``cols`` holds the segment's rows grouped by node in the order of
+    ``names`` (sorted), each node's rows already in canonical order, and
+    ``counts[i]`` is the row count of ``names[i]``.  A single-part node
+    read back from this segment is therefore in final order without
+    re-sorting.  A name without rows is listed in the entry (``nodes``,
+    ``n_nodes``, ``node_zones``) but not in the payload's
+    ``node_names``.  The manifest entry is returned but NOT yet
     committed — the caller owns the manifest swap (the commit point).
     """
-    names = sorted(per_node)
-    ordered = [per_node[name] for name in names]
-    cols = RecordColumns.concat(ordered) if len(ordered) > 1 else ordered[0]
     single = names[0] if len(names) == 1 else None
+    if single is not None:
+        held, node_code = [single], np.zeros(len(cols), dtype=np.int32)
+    else:
+        held = [names[index] for index in np.flatnonzero(counts)]
+        node_code = np.repeat(
+            np.arange(len(held), dtype=np.int32), counts[counts > 0]
+        )
+    cols = RecordColumns(
+        **{column: getattr(cols, column) for column in SHARD_COLUMNS},
+        node_code=node_code,
+        node_names=held,
+    )
     payload = shard_payload(cols, single if single is not None else "")
     filename = _segment_filename(seq, level)
     tmp = directory / (filename + ".tmp")
@@ -143,7 +175,6 @@ def _publish_segment(
         entry["nodes"] = names
         entry["n_nodes"] = len(names)
         if len(names) <= NODE_ZONE_LIMIT:
-            counts = [len(part) for part in ordered]
             entry["node_zones"] = dict(
                 zip(names, zone_maps_of(group_zone_columns(cols, counts)))
             )
@@ -325,14 +356,10 @@ class LiveArchive:
                     if len(nonempty) > 1
                     else nonempty[0]
                 )
-                per_node = {
-                    name: sub.take(canonical_sort_order(sub.t, sub.kind))
-                    for name, sub in merged.split_by_node().items()
-                }
                 seq = int(manifest["next_seq"])
                 entry = _publish_segment(
                     self.directory,
-                    per_node,
+                    *_group_by_node(merged),
                     seq=seq,
                     level=0,
                     chaos=chaos,
@@ -431,6 +458,26 @@ def _plan_components(entries: list[dict]) -> list[list[int]]:
     return components
 
 
+def _segment_cuts(counts: np.ndarray, max_rows: int, max_nodes: int) -> list[int]:
+    """Name indices that bound compaction's output segments.
+
+    Nodes are packed in name order; a node starts a new segment when
+    adding it would pass ``max_rows`` rows or the segment already holds
+    ``max_nodes`` nodes.  A node is never split.
+    """
+    cuts = [0]
+    rows = 0
+    # repro: noqa[NPY002]: one packing decision per node — O(nodes), not O(rows)
+    for index, count in enumerate(counts.tolist()):
+        if index > cuts[-1] and (rows + count > max_rows or index - cuts[-1] >= max_nodes):
+            cuts.append(index)
+            rows = 0
+        rows += count
+    if counts.shape[0]:
+        cuts.append(counts.shape[0])
+    return cuts
+
+
 def compact_archive(
     path: str | Path,
     *,
@@ -495,10 +542,8 @@ def compact_archive(
             # them with ONE grouped stable sort: node name first, then
             # the canonical (t, kind) key, ties staying in concat = seq
             # order.  Row for row this equals merging each node's parts
-            # separately, but it touches every row exactly once and
-            # never materializes per-node intermediates — a fleet-sized
-            # component costs one extra copy of its rows, not hundreds
-            # of thousands of tiny column objects.
+            # separately, but it touches every row exactly once, and the
+            # output segments are row ranges of the grouped columns.
             ordered = sorted(
                 (entries[index] for index in component),
                 key=lambda e: int(e.get("seq") or 0),
@@ -512,59 +557,17 @@ def compact_archive(
                 RecordColumns.concat(loaded) if len(loaded) > 1 else loaded[0]
             )
             del loaded
-            names_sorted = sorted(merged.node_names)
-            rank_of = {name: rank for rank, name in enumerate(names_sorted)}
-            name_rank = np.fromiter(
-                (rank_of[name] for name in merged.node_names),
-                dtype=np.int64,
-                count=len(merged.node_names),
-            )
-            node_key = name_rank[merged.node_code]
-            grouped = merged.take(
-                canonical_sort_order(merged.t, merged.kind, group=node_key)
-            )
+            grouped, names, counts = _group_by_node(merged)
             del merged
-            ranks = np.arange(len(names_sorted))
-            keys_grouped = np.sort(node_key)
-            starts = np.searchsorted(keys_grouped, ranks, side="left")
-            stops = np.searchsorted(keys_grouped, ranks, side="right")
-            # Pack merged nodes into bounded output segments.
-            bucket: dict[str, RecordColumns] = {}
-            bucket_rows = 0
-            for rank, name in enumerate(names_sorted):
-                lo, hi = int(starts[rank]), int(stops[rank])
-                cols = RecordColumns(
-                    **{
-                        column: getattr(grouped, column)[lo:hi]
-                        for column in SHARD_COLUMNS
-                    },
-                    node_code=np.zeros(hi - lo, dtype=np.int32),
-                    node_names=[name],
-                )
-                if bucket and (
-                    bucket_rows + len(cols) > max_segment_rows
-                    or len(bucket) >= max_segment_nodes
-                ):
-                    new_entries.append(
-                        _publish_segment(
-                            directory,
-                            bucket,
-                            seq=next_seq,
-                            level=level,
-                            chaos=chaos,
-                            op="compact",
-                        )
-                    )
-                    next_seq += 1
-                    bucket, bucket_rows = {}, 0
-                bucket[name] = cols
-                bucket_rows += len(cols)
-                rows_written += len(cols)
-            if bucket:
+            row_bounds = np.concatenate([[0], np.cumsum(counts)])
+            cuts = _segment_cuts(counts, max_segment_rows, max_segment_nodes)
+            for lo, hi in zip(cuts, cuts[1:]):
                 new_entries.append(
                     _publish_segment(
                         directory,
-                        bucket,
+                        grouped.take(slice(row_bounds[lo], row_bounds[hi])),
+                        names[lo:hi],
+                        counts[lo:hi],
                         seq=next_seq,
                         level=level,
                         chaos=chaos,
@@ -572,6 +575,7 @@ def compact_archive(
                     )
                 )
                 next_seq += 1
+                rows_written += int(row_bounds[hi] - row_bounds[lo])
         if rows_written != rows_consumed:  # pragma: no cover - invariant
             raise ColumnarFormatError(
                 f"compaction row mismatch: consumed {rows_consumed}, "

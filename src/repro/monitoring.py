@@ -22,7 +22,6 @@ from typing import Iterator
 import numpy as np
 
 from .logs.columnar import KIND_ERROR, RecordColumns, parse_chunk
-from .logs.frame import ErrorFrame
 from .resilience.prediction import AlarmRule, PredictorConfig
 
 
@@ -184,27 +183,3 @@ def monitor_directory(
     for item in monitor.ingest(follower.poll()):
         yield item
 
-
-def frame_from_directory(directory: str | Path) -> ErrorFrame:
-    """Convenience: all ERROR records of a log directory as a table.
-
-    Rows in stable time order; node codes in order of first appearance,
-    as :meth:`ErrorFrame.from_records` would intern them.
-    """
-    cols = LogFollower(directory).poll()
-    errors = cols.take(np.flatnonzero(cols.kind == KIND_ERROR))
-    present, first = np.unique(errors.node_code, return_index=True)
-    order = present[np.argsort(first)]
-    recode = np.zeros(len(errors.node_names), dtype=np.int32)
-    recode[order] = np.arange(order.size, dtype=np.int32)
-    return ErrorFrame.from_columns(
-        time_hours=errors.t,
-        node_code=recode[errors.node_code],
-        node_names=[errors.node_names[code] for code in order],
-        expected=errors.expected,
-        actual=errors.actual,
-        virtual_address=errors.va,
-        physical_page=errors.pp,
-        temperature_c=errors.temp,
-        repeat_count=errors.rep,
-    )

@@ -199,7 +199,7 @@ class TestBatchParser:
             ErrorRecord(1.0 + i / 64, "01-02", 0x30 + 4 * i, 0x80, 0xFFFFFFFF,
                         0xFFFFFFFF ^ (1 << i % 32),
                         None if i % 5 == 0 else 30.0 + i / 4, 1 + i % 3)
-            for i in range(2 * columnar._ERROR_RUN_MIN)
+            for i in range(2 * columnar._RUN_MIN)
         ]
         records = [
             StartRecord(0.5, "01-02", 3072, 34.25),
@@ -226,6 +226,64 @@ class TestBatchParser:
             assert a.tobytes() == b.tobytes(), name
         assert from_str.node_names == from_bytes.node_names == ["01-02"]
         assert to_records(from_str) == [*records, EndRecord(4.0, "01-02", None)]
+
+    def test_lifecycle_runs_parse_in_bulk(self, monkeypatch):
+        """Canonical START/END/ALLOC_FAIL runs over several nodes take the
+        bulk path; a run holding one reordered line, and only that run,
+        goes line by line."""
+        n = 2 * columnar._RUN_MIN
+        nodes = ["01-02", "7", "62-15", "node-0042"]
+
+        def lifecycle(offset):
+            out = []
+            for i in range(n):
+                t, node = offset + i / 8, nodes[i % len(nodes)]
+                if i % 3 == 0:
+                    out.append(StartRecord(t, node, 1024 * (1 + i % 3), None if i % 5 else 31.25))
+                elif i % 3 == 1:
+                    out.append(EndRecord(t, node, None if i % 4 else 40.5))
+                else:
+                    out.append(AllocFailRecord(t, node))
+            return out
+
+        errors = [
+            ErrorRecord(20.0 + i / 8, nodes[i % 2], 0x30 + 4 * i, 0x80, 0, 1 << i % 32, None, 1)
+            for i in range(n)
+        ]
+        records = [*lifecycle(0.0), *errors, *lifecycle(40.0)]
+        lines = [format_record(r) for r in records]
+        odd = 2 * n + n // 2
+        kind, *fields = lines[odd].split("|")
+        lines[odd] = "|".join([kind, *fields[::-1]])
+        per_line = []
+        real_parse_one = columnar._parse_one
+        monkeypatch.setattr(
+            columnar, "_parse_one",
+            lambda staging, raw: per_line.append(raw) or real_parse_one(staging, raw),
+        )
+        columns = parse_chunk("".join(line + "\n" for line in lines).encode("ascii"))
+        assert len(per_line) == n
+        assert to_records(columns) == records
+        assert columns.node_names == nodes
+
+    def test_crlf_lifecycle_lines_parse_like_lf(self):
+        """``parse_line`` strips each line, so a CRLF START or END line
+        ending in ``temp=na`` carries no temperature, as its LF form."""
+        lines = [
+            "START|t=0.5|node=01-02|mb=3072|temp=na",
+            "END|t=1.5|node=01-02|temp=na",
+            "START|t=2.5|node=01-02|mb=3072|temp=31.25",
+            "END|t=3.5|node=01-02|temp=na",
+        ]
+        lf = parse_chunk("".join(line + "\n" for line in lines).encode("ascii"))
+        for line in lines:
+            assert to_records(parse_chunk(line.encode("ascii") + b"\r\n")) == to_records(
+                parse_chunk(line.encode("ascii") + b"\n")
+            )
+        crlf = parse_chunk("".join(line + "\r\n" for line in lines).encode("ascii"))
+        for name in [*SHARD_COLUMNS, "node_code"]:
+            assert getattr(crlf, name).tobytes() == getattr(lf, name).tobytes(), name
+        assert crlf.node_names == lf.node_names
 
     def test_non_ascii_text_raises_unicode_error(self):
         line = "START|t=0.0|node=0\u00e9-01|mb=3072|temp=na\n"

@@ -114,7 +114,7 @@ class TestFormatChunk:
     def test_a_bulk_length_error_run_round_trips(self):
         """A run long enough for the parser's bulk path, NaN and logged
         temperatures interleaved."""
-        n = 4 * columnar._ERROR_RUN_MIN
+        n = 4 * columnar._RUN_MIN
         idx = np.arange(n)
         cols = RecordColumns(
             kind=np.full(n, KIND_ERROR, dtype=np.uint8),

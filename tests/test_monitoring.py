@@ -12,7 +12,6 @@ from repro.monitoring import (
     Advice,
     LogFollower,
     OnlineMonitor,
-    frame_from_directory,
     monitor_directory,
 )
 from repro.resilience.prediction import PredictorConfig, SpatioTemporalPredictor
@@ -84,6 +83,29 @@ class TestLogFollower:
         with open(log, "ab") as fh:
             fh.write(format_record(err(4.0)).encode() + b"\r\n")
         assert follower.poll().t.tolist() == [4.0]
+
+    def test_crlf_lifecycle_lines_read_like_lf(self, tmp_path):
+        """A CRLF log of START and END lines with ``na`` temperatures
+        polls to the same columns as its LF form."""
+        records = [
+            StartRecord(0.5, "05-05", 3072, None),
+            EndRecord(1.5, "05-05", None),
+            StartRecord(2.5, "05-05", 2048, 41.5),
+            EndRecord(3.5, "05-05", None),
+        ]
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.mkdir()
+        crlf.mkdir()
+        lf_follower, crlf_follower = LogFollower(lf), LogFollower(crlf)
+        for batch in (records[:2], records[2:]):
+            write_lines(lf / "05-05.log", batch)
+            with open(crlf / "05-05.log", "ab") as fh:
+                fh.write(b"".join(format_record(r).encode() + b"\r\n" for r in batch))
+            want, got = lf_follower.poll(), crlf_follower.poll()
+            assert len(got) == len(batch)
+            for name in ("kind", "t", "temp", "mb", "node_code"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.node_names == want.node_names
 
     def test_non_error_records_pass_through(self, tmp_path):
         write_lines(
@@ -185,11 +207,3 @@ class TestDirectoryHelpers:
         advice = list(monitor_directory(tmp_path))
         assert advice
         assert all(isinstance(a, Advice) for a in advice)
-
-    def test_frame_from_directory(self, tmp_path):
-        write_lines(tmp_path / "05-05.log", [err(1.0), err(2.0)])
-        write_lines(
-            tmp_path / "05-05.log", []
-        )
-        frame = frame_from_directory(tmp_path)
-        assert len(frame) == 2
